@@ -7,9 +7,11 @@ Demonstrates the pipeline a real accelerator deployment would consume:
 1. PTQ-quantize a model into two-level VS-Quant form
 2. save it as a versioned, checksummed artifact — manifest JSON plus
    bit-packed weights at exact widths (the paper's 4.25-effective-bit
-   format), via a custom topology builder registered for this model
-3. load the artifact back (checksums verified, packing lossless) and
-   execute it end-to-end with pure integer dot products (Eq. 5)
+   format); the manifest records the module tree, so nothing has to be
+   registered to load it
+3. load the artifact back (checksums verified, packing lossless),
+   rebuild the model from its structural manifest, and execute it
+   end-to-end with pure integer dot products (Eq. 5)
 4. verify agreement with the fake-quant simulation
 5. show the effect of the hardware's scale-product rounding knob
 """
@@ -19,29 +21,22 @@ import tempfile
 import numpy as np
 
 from repro import nn
-from repro.deploy import IntegerEngine, load_artifact, register_builder, save_artifact
+from repro.deploy import IntegerEngine, load_artifact, save_artifact
 from repro.quant import PTQConfig, quantize_model
 from repro.tensor.tensor import Tensor, no_grad
 from repro.utils.rng import seeded_rng
 
 
-def build_mlp(arch: dict) -> nn.Module:
-    """Topology builder: the artifact stores (builder name, arch kwargs)."""
-    rng = seeded_rng("integer-deploy-mlp")
-    return nn.Sequential(
-        nn.Linear(arch["d_in"], arch["d_hidden"], rng=rng),
-        nn.ReLU(),
-        nn.Linear(arch["d_hidden"], arch["d_out"], rng=rng),
-    )
-
-
 def main() -> None:
     rng = seeded_rng("integer-deploy-data")
-    arch = {"d_in": 256, "d_hidden": 128, "d_out": 16}
-    register_builder("demo-mlp", build_mlp)
-    model = build_mlp(arch)
+    init = seeded_rng("integer-deploy-mlp")
+    model = nn.Sequential(
+        nn.Linear(256, 128, rng=init),
+        nn.ReLU(),
+        nn.Linear(128, 16, rng=init),
+    )
     model.eval()
-    x = rng.standard_normal((8, arch["d_in"]))
+    x = rng.standard_normal((8, 256))
 
     print("1) quantize (two-level, V=16, N=M=4)")
     config = PTQConfig.vs_quant(4, 4, weight_scale="4", act_scale="4")
@@ -49,10 +44,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory(prefix="repro-deploy-") as artifact_dir:
         print("2) save the artifact (manifest + bit-packed weights)")
-        manifest = save_artifact(
-            qmodel, artifact_dir, builder="demo-mlp", arch=arch,
-            quant_label=config.label,
-        )
+        manifest = save_artifact(qmodel, artifact_dir, quant_label=config.label)
         summary = manifest["summary"]
         fp32_bytes = summary["fp32_weight_bytes"]
         print(f"   fp32 weights: {fp32_bytes} bytes")
@@ -75,6 +67,7 @@ def main() -> None:
             f"   max rel |integer - fake-quant| = {err:.2e} "
             "(identical up to float summation order)"
         )
+        assert err < 1e-9, "integer engine diverged from the fake-quant simulation"
         codes_bits = artifact.layers[0].weight.fmt.bits
         print(f"   layer 0 codes round-tripped at {codes_bits}-bit width losslessly")
 

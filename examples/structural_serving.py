@@ -1,13 +1,12 @@
-"""Builder-less deployment: save -> inspect -> serve a custom model.
+"""Structural deployment: save -> inspect -> serve a custom model.
 
 The artifact manifest (format v2) embeds a structural module-tree spec,
-so a model nobody registered a topology builder for still round-trips
-save -> load -> serve — the contract is only that its classes are
-importable at load time. This script:
+so any model round-trips save -> load -> serve — the contract is only
+that its classes are importable at load time. This script:
 
-1. defines a custom CNN (no builder registration anywhere),
+1. defines a custom CNN that is not in the model zoo,
 2. PTQ-quantizes it under the paper's two-level W4/A8 S4/S6 format,
-3. saves a deployment artifact (note ``builder: null`` in the manifest),
+3. saves a deployment artifact,
 4. reloads it with the integer engine and checks predictions against the
    fake-quant simulation,
 5. serves a few requests through the dynamic-batching server via
@@ -30,7 +29,7 @@ from repro.tensor.tensor import Tensor, no_grad
 
 
 class CustomCNN(nn.Module):
-    """Not in the model zoo; no topology builder registered."""
+    """Not in the model zoo: only the structural manifest can rebuild it."""
 
     def __init__(self, num_classes: int = 6, rng=None):
         super().__init__()
@@ -62,8 +61,7 @@ def main(out_dir: str) -> int:
         qmodel, out_dir, task="image", quant_label=config.label,
         input_shape=(3, 16, 16),
     )
-    assert manifest["model"]["builder"] is None, "no builder should be derivable"
-    print(f"saved builder-less artifact to {out_dir}")
+    print(f"saved artifact to {out_dir}")
     print(f"  plan entries: {len(manifest['plan'])}, "
           f"packed weights: {manifest['summary']['packed_weight_bytes']} bytes")
 

@@ -268,7 +268,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    from repro.deploy import ArtifactError, has_builder, inspect_artifact
+    from repro.deploy import ArtifactError, inspect_artifact
     from repro.eval import format_table
 
     try:
@@ -277,16 +277,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     except ArtifactError as exc:
         raise SystemExit(f"cannot inspect artifact: {exc}") from exc
     model = manifest["model"]
-    builder = model.get("builder")
-    if builder is None:
-        topology = "structural manifest (no builder needed)"
-    else:
-        status = "registered" if has_builder(builder) else "NOT registered here"
-        fallback = ", structural fallback available" if model.get("structure") else ""
-        topology = f"builder {builder!r} ({status}{fallback})"
     print(f"artifact: {args.artifact}")
     print(f"format: {manifest['format']} v{manifest['format_version']}")
-    print(f"model: {model['name']}  task={model.get('task')}  topology: {topology}")
+    print(f"model: {model['name']}  task={model.get('task')}")
     print(f"quant: {manifest['quant'].get('label') or '-'}")
     payload = manifest["payload"]
     checks = "skipped" if args.no_verify else "ok"
@@ -931,6 +924,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.deploy.engine import BACKEND_CHOICES
+
     parser = argparse.ArgumentParser(
         prog="repro", description="VS-Quant reproduction command-line interface"
     )
@@ -996,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_common.add_argument("--precision", choices=("float32", "float64"), default="float32",
                               help="engine glue precision (float32 = serving default)")
     serve_common.add_argument(
-        "--backend", choices=("auto", "integer", "integer-prefolded", "compiled"),
+        "--backend", choices=BACKEND_CHOICES,
         default=os.environ.get("REPRO_BACKEND", "auto"),
         help="execution backend for quantized layers (default: $REPRO_BACKEND or "
              "'auto'; unavailable backends fall back to 'integer' with a warning)")
@@ -1025,7 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-queue", type=int, default=256)
     p.add_argument("--precision", choices=("float32", "float64"), default="float32")
     p.add_argument(
-        "--backend", choices=("auto", "integer", "integer-prefolded", "compiled"),
+        "--backend", choices=BACKEND_CHOICES,
         default=os.environ.get("REPRO_BACKEND", "auto"))
     p.add_argument("--ready-file", default=None, metavar="PATH",
                    help="write host:port here once listening (deploy/CI sync point)")
@@ -1057,7 +1052,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="response-cache LRU capacity (0 = disabled)")
     p.add_argument("--precision", choices=("float32", "float64"), default="float32")
     p.add_argument(
-        "--backend", choices=("auto", "integer", "integer-prefolded", "compiled"),
+        "--backend", choices=BACKEND_CHOICES,
         default=os.environ.get("REPRO_BACKEND", "auto"),
         help="execution backend for quantized layers (default: $REPRO_BACKEND or "
              "'auto'; unavailable backends fall back to 'integer' with a warning)")
@@ -1175,7 +1170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-queue", type=int, default=256,
                    help="temp-gateway per-replica queue bound")
     p.add_argument(
-        "--backend", choices=("auto", "integer", "integer-prefolded", "compiled"),
+        "--backend", choices=BACKEND_CHOICES,
         default=os.environ.get("REPRO_BACKEND", "auto"))
     p.add_argument("--timeout-s", type=float, default=60.0,
                    help="per-request client timeout during --replay")

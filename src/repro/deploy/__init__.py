@@ -20,43 +20,28 @@ See ``docs/serving.md`` for the format specification.
 from repro.deploy.artifact import (
     ARTIFACT_FORMAT,
     ARTIFACT_VERSION,
-    ActSpec,
     Artifact,
     ArtifactError,
     ArtifactLayer,
-    has_builder,
     inspect_artifact,
     load_artifact,
-    register_builder,
     save_artifact,
 )
 from repro.deploy.structure import StructureError, build_from_structure, module_structure
-from repro.deploy.engine import (
-    IntegerConv2d,
-    IntegerEmbedding,
-    IntegerEngine,
-    IntegerLinear,
-    build_integer_model,
-)
+from repro.deploy.engine import IntegerEngine, build_integer_model
 
 __all__ = [
     "ARTIFACT_FORMAT",
     "ARTIFACT_VERSION",
-    "ActSpec",
     "Artifact",
     "ArtifactError",
     "ArtifactLayer",
-    "has_builder",
     "inspect_artifact",
     "load_artifact",
-    "register_builder",
     "save_artifact",
     "StructureError",
     "build_from_structure",
     "module_structure",
-    "IntegerConv2d",
-    "IntegerEmbedding",
     "IntegerEngine",
-    "IntegerLinear",
     "build_integer_model",
 ]

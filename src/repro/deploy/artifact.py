@@ -4,8 +4,8 @@ An artifact is a directory with two files:
 
 ``manifest.json``
     Format version, model topology — a **structural manifest** (module-tree
-    spec, see :mod:`repro.deploy.structure`) plus an optional builder name +
-    architecture kwargs as a fast path — the embedded
+    spec, see :mod:`repro.deploy.structure`) plus the architecture kwargs of
+    zoo models as metadata — the embedded
     :class:`~repro.quant.plan.QuantPlan` describing every quantized layer,
     and a segment table into the payload blob with per-segment SHA-256
     checksums.
@@ -23,9 +23,8 @@ An artifact is a directory with two files:
 checksums and returns the unpacked layers, from which
 :func:`repro.deploy.engine.build_integer_model` rebuilds a runnable model.
 Because the manifest embeds both the plan and the structural module tree,
-*any* model round-trips save → load → serve without a registered topology
-builder (format version 2; version-1 artifacts still load, builder
-required).
+*any* model whose classes are importable round-trips save → load → serve
+(format version 2; version-1 artifacts carry neither and are rejected).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -53,10 +52,10 @@ from repro.utils.log import get_logger
 logger = get_logger("deploy")
 
 ARTIFACT_FORMAT = "repro.deploy/quantized-model"
-#: Version 2 adds the embedded QuantPlan + structural manifest (builder-less
-#: loading) and the embedding/attention layer kinds. Version 1 still loads.
+#: Version 2 embeds the QuantPlan and the structural manifest, from which
+#: every model is rebuilt, and adds the embedding/attention layer kinds.
 ARTIFACT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
+_SUPPORTED_VERSIONS = (2,)
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "weights.bin"
@@ -66,68 +65,22 @@ class ArtifactError(RuntimeError):
     """Raised for unexportable models, malformed or corrupt artifacts."""
 
 
-# ----------------------------------------------------------------------
-# topology builders (optional fast path since format v2)
-# ----------------------------------------------------------------------
-_BUILDERS: dict[str, Callable[[dict], nn.Module]] = {}
+def _zoo_arch(model: nn.Module) -> dict | None:
+    """Constructor kwargs of a zoo model (manifest metadata), else ``None``.
 
-
-def register_builder(name: str, build: Callable[[dict], nn.Module]) -> None:
-    """Register a topology builder: ``build(arch) -> float model skeleton``.
-
-    The zoo models are pre-registered ("miniresnet", "minibert"). Since
-    format v2 a builder is an optional fast path — the structural manifest
-    rebuilds any model whose classes are importable — but remains the way
-    to load models with non-serializable construction logic.
+    Serving reads ``max_seq_len``/``vocab_size`` from them to synthesize
+    QA payloads; the topology itself comes from the structural manifest.
     """
-    _BUILDERS[name] = build
-
-
-def get_builder(name: str) -> Callable[[dict], nn.Module]:
-    if name not in _BUILDERS:
-        raise ArtifactError(
-            f"no topology builder registered for {name!r}; call "
-            f"repro.deploy.register_builder({name!r}, fn) first "
-            f"(registered: {sorted(_BUILDERS)})"
-        )
-    return _BUILDERS[name]
-
-
-def has_builder(name: str | None) -> bool:
-    return name is not None and name in _BUILDERS
-
-
-def _build_miniresnet(arch: dict) -> nn.Module:
-    from repro.models.resnet import MiniResNet
-
-    return MiniResNet(**arch)
-
-
-def _build_minibert(arch: dict) -> nn.Module:
-    from repro.models.bert import MiniBERT, MiniBERTConfig
-
-    return MiniBERT(MiniBERTConfig(**arch))
-
-
-register_builder("miniresnet", _build_miniresnet)
-register_builder("minibert", _build_minibert)
-
-
-def model_meta(model: nn.Module) -> tuple[str, dict]:
-    """Derive (builder, arch) for a model the zoo builders can rebuild."""
     from repro.models.bert import MiniBERT
     from repro.models.resnet import MiniResNet
 
     if isinstance(model, MiniResNet):
-        return "miniresnet", dict(model.arch)
+        return dict(model.arch)
     if isinstance(model, MiniBERT):
         import dataclasses
 
-        return "minibert", dataclasses.asdict(model.config)
-    raise ArtifactError(
-        f"cannot derive a topology builder for {type(model).__name__}; pass "
-        "builder=/arch= explicitly (and register_builder the constructor)"
-    )
+        return dataclasses.asdict(model.config)
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -180,53 +133,6 @@ def _read_array(blob: bytes, seg: Mapping, verify: bool) -> np.ndarray:
 # ----------------------------------------------------------------------
 # layer specs
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ActSpec:
-    """Runtime activation-quantization format of one layer.
-
-    Activations are quantized dynamically at inference time (the paper's
-    deployment mode), so the artifact records the *format* — bit widths,
-    signedness detected during calibration, vector geometry — rather than
-    any data. Kept as the compact manifest form; the engine consumes the
-    full :class:`~repro.quant.quantizer.QuantSpec` from the embedded plan.
-    """
-
-    bits: int
-    signed: bool
-    scale_bits: int
-    vector_size: int
-    vector_axis: int
-
-    @property
-    def fmt(self) -> IntFormat:
-        return IntFormat(self.bits, self.signed)
-
-    @property
-    def scale_fmt(self) -> IntFormat:
-        return IntFormat(self.scale_bits, signed=False)
-
-    @property
-    def layout(self) -> VectorLayout:
-        return VectorLayout(self.vector_axis, self.vector_size)
-
-    def to_quant_spec(self) -> QuantSpec:
-        """Full QuantSpec (v1 manifests carry only this compact form)."""
-        from repro.quant.quantizer import ScaleFormat
-
-        return QuantSpec(
-            bits=self.bits,
-            signed=self.signed,
-            granularity=Granularity.PER_VECTOR,
-            vector_size=self.vector_size,
-            vector_axis=self.vector_axis,
-            channel_axes=(),
-            scale=ScaleFormat(ScaleKind.INT, self.scale_bits),
-            calibration="max",
-            dynamic=True,
-            decompose_order="vector_first",
-        )
-
-
 @dataclass
 class ArtifactLayer:
     """One quantized layer, unpacked and ready for the integer engine."""
@@ -236,7 +142,6 @@ class ArtifactLayer:
     geometry: dict
     weight: QuantizedTensor | None
     bias: np.ndarray | None
-    act: ActSpec | None
     spec: LayerQuantSpec
 
 
@@ -248,14 +153,6 @@ class Artifact:
     layers: list[ArtifactLayer]
     floats: dict[str, np.ndarray]
     plan: QuantPlan
-
-    @property
-    def builder(self) -> str | None:
-        return self.manifest["model"]["builder"]
-
-    @property
-    def arch(self) -> dict:
-        return self.manifest["model"]["arch"] or {}
 
     @property
     def task(self) -> str | None:
@@ -290,6 +187,11 @@ def _require_two_level(name: str, role: str, spec: QuantSpec | None) -> QuantSpe
 
 
 def _act_entry(spec: QuantSpec) -> dict:
+    """Compact activation format of a layer-table entry.
+
+    Readers use the embedded plan; the block stays for older builds that
+    read activation formats from the layer table.
+    """
     return {
         "bits": spec.bits,
         "signed": spec.signed,
@@ -306,7 +208,6 @@ def save_artifact(
     model: nn.Module,
     path: str | Path,
     *,
-    builder: str | None = None,
     arch: dict | None = None,
     name: str | None = None,
     task: str | None = None,
@@ -316,29 +217,15 @@ def save_artifact(
     """Serialize a fake-quantized model into an artifact directory.
 
     ``model`` must come from :func:`repro.quant.ptq.quantize_model` under a
-    two-level VS-Quant config. ``builder``/``arch`` name the topology fast
-    path (zoo models are auto-derived); models without one still round-trip
-    through the structural manifest. Returns the manifest dict.
+    two-level VS-Quant config. The topology travels as the structural
+    manifest; ``arch`` is recorded as metadata (derived for zoo models).
+    Returns the manifest dict.
     """
     layers = quant_layers(model)
     if not layers:
         raise ArtifactError("model has no quantized layers; run quantize_model first")
-    if builder is None:
-        try:
-            builder, derived_arch = model_meta(model)
-            if arch is None:
-                arch = derived_arch
-        except ArtifactError:
-            builder = None  # structural manifest carries the topology
-    elif arch is None:
-        try:  # an explicit builder keeps priority; only the arch is derived
-            _, arch = model_meta(model)
-        except ArtifactError as exc:
-            raise ArtifactError(
-                f"builder={builder!r} needs an explicit arch= for {type(model).__name__}"
-            ) from exc
-    if builder is not None:
-        get_builder(builder)  # fail fast on unknown builders
+    if arch is None:
+        arch = _zoo_arch(model)
 
     plan = plan_from_model(model)
     blob = _BlobWriter()
@@ -427,8 +314,10 @@ def save_artifact(
         "format_version": ARTIFACT_VERSION,
         "created_unix": time.time(),
         "model": {
-            "name": name or builder or type(model).__name__,
-            "builder": builder,
+            "name": name or type(model).__name__,
+            # Always null: older builds look a non-null name up in a
+            # builder registry before falling back to the structure.
+            "builder": None,
             "arch": arch,
             "task": task,
             "input_shape": list(input_shape) if input_shape else None,
@@ -467,44 +356,6 @@ def save_artifact(
 # ----------------------------------------------------------------------
 # load
 # ----------------------------------------------------------------------
-def _v1_layer_spec(entry: Mapping) -> LayerQuantSpec:
-    """Synthesize a plan entry from a version-1 manifest layer."""
-    from repro.quant.quantizer import ScaleFormat
-
-    w = entry["weight"]
-    wspec = QuantSpec(
-        bits=int(w["elem_bits"]),
-        signed=bool(w["elem_signed"]),
-        granularity=Granularity.PER_VECTOR,
-        vector_size=int(w["vector_size"]),
-        vector_axis=int(w["axis"]),
-        channel_axes=(0,),
-        scale=ScaleFormat(ScaleKind.INT, int(w["scale_bits"])),
-        calibration="max",
-        dynamic=True,
-        decompose_order="vector_first",
-    )
-    a = entry.get("act")
-    aspec = (
-        ActSpec(
-            bits=int(a["bits"]),
-            signed=bool(a["signed"]),
-            scale_bits=int(a["scale_bits"]),
-            vector_size=int(a["vector_size"]),
-            vector_axis=int(a["vector_axis"]),
-        ).to_quant_spec()
-        if a is not None  # weight-only kinds (embedding) carry no act block
-        else None
-    )
-    return LayerQuantSpec(
-        name=entry["name"],
-        kind=entry["kind"],
-        geometry=dict(entry["geometry"]),
-        weight=wspec,
-        inputs=aspec,
-    )
-
-
 def _read_manifest(root: Path) -> dict:
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.exists():
@@ -520,7 +371,8 @@ def _read_manifest(root: Path) -> dict:
     if version not in _SUPPORTED_VERSIONS:
         raise ArtifactError(
             f"artifact format version {version} unsupported "
-            f"(this build reads versions {list(_SUPPORTED_VERSIONS)})"
+            f"(this build reads version {ARTIFACT_VERSION}); re-export the "
+            "model with save_artifact"
         )
     return manifest
 
@@ -545,10 +397,9 @@ def _verify_payload(root: Path, manifest: Mapping) -> bytes:
 
 
 def _manifest_plan(manifest: Mapping) -> QuantPlan:
-    if manifest.get("plan"):
-        return QuantPlan.from_list(manifest["plan"])
-    # version 1: synthesize the plan from the layer table
-    return QuantPlan(_v1_layer_spec(e) for e in manifest["layers"])
+    if not manifest.get("plan"):
+        raise ArtifactError("manifest carries no quantization plan; re-export the model")
+    return QuantPlan.from_list(manifest["plan"])
 
 
 def inspect_artifact(path: str | Path, verify: bool = True) -> tuple[dict, QuantPlan]:
@@ -582,14 +433,9 @@ def load_artifact(path: str | Path, verify: bool = True) -> Artifact:
     for entry in manifest["layers"]:
         spec = plan.get(entry["name"])
         if spec is None:
-            if entry["kind"] == "attention":
-                raise ArtifactError(
-                    f"manifest attention layer {entry['name']!r} missing from the plan"
-                )
-            # Tolerate a layer/plan name divergence (hand-edited manifest):
-            # the layer table alone fully describes conv/linear/embedding
-            # formats, exactly as version-1 manifests did.
-            spec = _v1_layer_spec(entry)
+            raise ArtifactError(
+                f"manifest {entry['kind']} layer {entry['name']!r} missing from the plan"
+            )
         if entry["kind"] == "attention":
             # Operand specs live in the plan; the manifest entry is a summary.
             layers.append(
@@ -599,7 +445,6 @@ def load_artifact(path: str | Path, verify: bool = True) -> Artifact:
                     geometry=dict(entry["geometry"]),
                     weight=None,
                     bias=None,
-                    act=None,
                     spec=spec,
                 )
             )
@@ -632,17 +477,6 @@ def load_artifact(path: str | Path, verify: bool = True) -> Artifact:
             scale_fmt=scale_fmt,
         )
         bias = _read_array(blob, entry["bias"], verify) if entry["bias"] else None
-        act = (
-            ActSpec(
-                bits=int(entry["act"]["bits"]),
-                signed=bool(entry["act"]["signed"]),
-                scale_bits=int(entry["act"]["scale_bits"]),
-                vector_size=int(entry["act"]["vector_size"]),
-                vector_axis=int(entry["act"]["vector_axis"]),
-            )
-            if entry.get("act")
-            else None
-        )
         layers.append(
             ArtifactLayer(
                 name=entry["name"],
@@ -650,7 +484,6 @@ def load_artifact(path: str | Path, verify: bool = True) -> Artifact:
                 geometry=dict(entry["geometry"]),
                 weight=weight,
                 bias=bias,
-                act=act,
                 spec=spec,
             )
         )

@@ -1,10 +1,8 @@
 """Integer inference engine: execute a loaded artifact end-to-end.
 
-The engine rebuilds the model topology from the manifest — via a
-registered builder when one exists (the fast path), otherwise from the
-embedded **structural manifest** (:mod:`repro.deploy.structure`), so any
-model round-trips save → load → serve without registration — loads the
-float parameters of the non-quantized layers, and replays the embedded
+The engine rebuilds the model topology from the embedded **structural
+manifest** (:mod:`repro.deploy.structure`), loads the float parameters of
+the non-quantized layers, and replays the embedded
 :class:`~repro.quant.plan.QuantPlan`: every quantized position gets a
 unified :class:`~repro.quant.qlayers.QuantizedLayer` running an *integer*
 execution backend (:mod:`repro.quant.backends`) that
@@ -46,14 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import nn
-from repro.deploy.artifact import (
-    Artifact,
-    ArtifactError,
-    ArtifactLayer,
-    get_builder,
-    has_builder,
-    load_artifact,
-)
+from repro.deploy.artifact import Artifact, ArtifactError, ArtifactLayer, load_artifact
 from repro.deploy.structure import StructureError, build_from_structure
 from repro.quant.backends import resolve_backend
 from repro.quant.plan import LayerQuantSpec
@@ -61,25 +52,8 @@ from repro.quant.qlayers import QuantizedLayer, QuantMultiHeadAttention
 from repro.quant.quantizer import Quantizer
 from repro.tensor.tensor import Tensor, no_grad
 
-
-class IntegerConv2d(QuantizedLayer):
-    """Conv2d position of an artifact, on an integer execution backend."""
-
-
-class IntegerLinear(QuantizedLayer):
-    """Linear position of an artifact, on an integer execution backend."""
-
-
-class IntegerEmbedding(QuantizedLayer):
-    """Embedding position of an artifact: dequantized-table lookup."""
-
-
-_INTEGER_CLASSES = {
-    "conv2d": IntegerConv2d,
-    "linear": IntegerLinear,
-    "embedding": IntegerEmbedding,
-}
-
+#: Manifest layer kinds executed by a :class:`QuantizedLayer`.
+_INTEGER_KINDS = ("conv2d", "linear", "embedding")
 
 #: Engine-level backend choices (``"auto"`` resolves per environment).
 BACKEND_CHOICES = ("auto", "integer", "integer-prefolded", "compiled")
@@ -111,10 +85,9 @@ def _make_integer_layer(
     out_dtype: type | None,
     backend: str = "auto",
 ) -> nn.Module:
-    cls = _INTEGER_CLASSES.get(spec.kind)
-    if cls is None:
+    if spec.kind not in _INTEGER_KINDS:
         raise ArtifactError(f"unknown layer kind {spec.kind!r} for {spec.name}")
-    return cls(
+    return QuantizedLayer(
         spec.spec,
         bias=spec.bias,
         weight_q=spec.weight,
@@ -176,18 +149,12 @@ def build_integer_model(
         backend = resolve_backend(backend)
     out_dtype = np.float32 if precision == "float32" else None
 
-    if has_builder(artifact.builder):
-        model = get_builder(artifact.builder)(dict(artifact.arch))
-    elif artifact.structure is not None:
-        try:
-            model = build_from_structure(artifact.structure)
-        except StructureError as exc:
-            raise ArtifactError(str(exc)) from exc
-    else:
-        # v1 artifacts carry no structure; the builder registry is the
-        # only way to rebuild them.
-        get_builder(artifact.builder or "<missing>")
-        raise AssertionError("unreachable")  # pragma: no cover
+    if artifact.structure is None:
+        raise ArtifactError("manifest carries no structural module tree; re-export the model")
+    try:
+        model = build_from_structure(artifact.structure)
+    except StructureError as exc:
+        raise ArtifactError(str(exc)) from exc
 
     params = dict(model.named_parameters())
     for key, value in artifact.floats.items():
@@ -204,7 +171,7 @@ def build_integer_model(
         if params[key].shape != value.shape:
             raise ArtifactError(
                 f"shape mismatch for {key!r}: topology {params[key].shape} "
-                f"vs artifact {value.shape} (arch drift?)"
+                f"vs artifact {value.shape} (topology drift?)"
             )
         params[key].data = value
 

@@ -1,23 +1,20 @@
-"""Structural manifests: rebuild a module tree without a topology builder.
+"""Structural manifests: rebuild a module tree from its recorded structure.
 
-The artifact format originally required a registered *builder* (a named
-constructor) to turn a manifest back into modules; any custom model needed
-``register_builder`` on both the save and load side. A **structural
-manifest** removes that coupling: at save time the module tree is walked
-into a JSON spec — per module its import path, JSON-able constructor
-attributes, parameter/buffer shapes, and children — and at load time the
-tree is rebuilt generically: the class is imported, instantiated without
-running ``__init__`` (its recorded attributes are restored instead), and
-its children/parameters/buffers re-registered. Quantized layers are
-recorded as their *float* skeletons (via the layer-handler registry), since
-the engine swaps integer executors into those positions anyway.
+At save time the module tree is walked into a JSON spec — per module its
+import path, JSON-able constructor attributes, parameter/buffer shapes, and
+children — and at load time the tree is rebuilt generically: the class is
+imported, instantiated without running ``__init__`` (its recorded
+attributes are restored instead), and its children/parameters/buffers
+re-registered. Quantized layers are recorded as their *float* skeletons
+(via the layer-handler registry), since the engine swaps integer executors
+into those positions anyway. This is the only way a served model is
+rebuilt.
 
 The contract: the model's classes must be importable at load time —
 classes defined in a script run as ``__main__`` record their source file
 and are reloaded by executing it — and whatever their ``forward`` reads
 must be modules, parameters, buffers, or JSON-able attributes (plus RNGs,
-restored as fresh generators). Models violating that still work through
-the builder registry, which remains the optional fast path.
+restored as fresh generators).
 """
 
 from __future__ import annotations
@@ -151,8 +148,7 @@ def _resolve_class(path: str, source: str | None = None):
             raise
         raise StructureError(
             f"cannot import {module_path!r} to rebuild {path!r}; structural "
-            "loading needs the model's classes importable (or register a "
-            "topology builder)"
+            "loading needs the model's classes importable"
         ) from exc
 
 

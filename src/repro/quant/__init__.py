@@ -14,8 +14,8 @@ Layout:
   plans from a layer-handler registry (the stack's shared contract)
 - :mod:`repro.quant.backends` — pluggable execution backends
   (fakequant / integer / integer-prefolded)
-- :mod:`repro.quant.qlayers` — the unified QuantizedLayer (+ kind-pinned
-  QuantConv2d / QuantLinear / QuantEmbedding, quantized attention)
+- :mod:`repro.quant.qlayers` — the unified QuantizedLayer (+ quantized
+  attention)
 - :mod:`repro.quant.ptq` — post-training quantization pipeline
 - :mod:`repro.quant.qat` — quantization-aware finetuning (Table 9)
 - :mod:`repro.quant.integer_exec` — true integer execution (Eq. 5) with
@@ -69,9 +69,6 @@ from repro.quant.backends import (
 )
 from repro.quant.qlayers import (
     QuantizedLayer,
-    QuantLinear,
-    QuantConv2d,
-    QuantEmbedding,
     QuantMultiHeadAttention,
     attention_layers,
     quant_layers,
@@ -137,9 +134,6 @@ __all__ = [
     "get_backend",
     "register_backend",
     "QuantizedLayer",
-    "QuantLinear",
-    "QuantConv2d",
-    "QuantEmbedding",
     "QuantMultiHeadAttention",
     "attention_layers",
     "quant_layers",

@@ -105,11 +105,11 @@ def attach_learned_scales(qmodel: nn.Module, fmt_bits: int, vector_size: int = 1
     parameters join ``qmodel.parameters()`` automatically, so any existing
     training loop trains them.
     """
-    from repro.quant.qlayers import QuantConv2d, QuantLinear
+    from repro.quant.qlayers import quant_layers
 
     count = 0
-    for _, module in qmodel.named_modules():
-        if isinstance(module, (QuantConv2d, QuantLinear)):
+    for _, module in quant_layers(qmodel):
+        if module.spec.kind in ("conv2d", "linear"):
             module.weight_quantizer = LearnedScaleWeightQuantizer(
                 module.weight.data,
                 vector_size=vector_size,

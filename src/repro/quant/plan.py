@@ -202,8 +202,21 @@ class LayerHandler:
         raise NotImplementedError
 
     def build(self, module: nn.Module, spec: LayerQuantSpec) -> nn.Module:
-        """Fake-quant replacement for a float module, wired per ``spec``."""
-        raise NotImplementedError
+        """Fake-quant replacement for a float module, wired per ``spec``.
+
+        The replacement shares the module's parameters; ``bias`` joins the
+        geometry so a skeleton rebuilt from it has the same parameters.
+        """
+        from repro.quant.qlayers import QuantizedLayer
+
+        bias = getattr(module, "bias", None)
+        return QuantizedLayer(
+            replace(spec, geometry={**spec.geometry, "bias": bias is not None}),
+            weight=module.weight,
+            bias=bias,
+            weight_quantizer=Quantizer(spec.weight) if spec.weight else None,
+            input_quantizer=Quantizer(spec.inputs) if spec.inputs else None,
+        )
 
     def skeleton(self, spec: LayerQuantSpec) -> nn.Module:
         """Float placeholder module rebuilt from geometry alone."""
@@ -290,13 +303,6 @@ class Conv2dHandler(LayerHandler):
             inputs=input_spec(config, vector_axis=1),
         )
 
-    def build(self, module, spec):
-        from repro.quant.qlayers import QuantConv2d
-
-        return QuantConv2d.from_float(
-            module, Quantizer(spec.weight), Quantizer(spec.inputs)
-        )
-
     def skeleton(self, spec):
         g = spec.geometry
         return nn.Conv2d(
@@ -324,13 +330,6 @@ class LinearHandler(LayerHandler):
             },
             weight=weight_spec(config, vector_axis=1),
             inputs=input_spec(config, vector_axis=-1),
-        )
-
-    def build(self, module, spec):
-        from repro.quant.qlayers import QuantLinear
-
-        return QuantLinear.from_float(
-            module, Quantizer(spec.weight), Quantizer(spec.inputs)
         )
 
     def skeleton(self, spec):
@@ -363,11 +362,6 @@ class EmbeddingHandler(LayerHandler):
             },
             weight=weight_spec(config, vector_axis=1),
         )
-
-    def build(self, module, spec):
-        from repro.quant.qlayers import QuantEmbedding
-
-        return QuantEmbedding.from_float(module, Quantizer(spec.weight))
 
     def skeleton(self, spec):
         g = spec.geometry

@@ -7,14 +7,9 @@ delegates *how* it computes to a pluggable execution backend
 (:mod:`repro.quant.backends`): ``fakequant`` for PTQ/QAT simulation,
 ``integer`` / ``integer-prefolded`` for the true integer datapath the
 serving engine runs. The layer kinds (conv2d / linear / embedding) differ
-only in the :class:`~repro.quant.plan.LayerHandler` that plans them and
-the per-kind backend entry point — there is no per-kind class hierarchy
-to extend anymore.
-
-:class:`QuantConv2d`, :class:`QuantLinear`, and :class:`QuantEmbedding`
-are thin kind-pinned subclasses kept for their constructor ergonomics and
-``isinstance`` compatibility; every behaviour lives in the base class and
-the backends.
+only in the :class:`~repro.quant.plan.LayerHandler` that plans and builds
+them and the per-kind backend entry point; code that cares about the kind
+reads ``layer.kind``.
 
 The layers record the MAC count and tensor shapes of their last forward
 pass, which the hardware model (:mod:`repro.hardware`) uses to weight
@@ -42,7 +37,7 @@ class QuantizedLayer(nn.Module):
       weight/input quant specs). Geometry entries are mirrored as plain
       attributes (``in_channels``, ``stride``, ...) for ergonomic access.
     - ``weight`` / ``bias`` — float parameters (shared with the source
-      module by ``from_float``; absent on artifact-loaded layers).
+      module by ``LayerHandler.build``; absent on artifact-loaded layers).
     - ``weight_quantizer`` / ``input_quantizer`` — fake-quant state with
       STE backward (the ``fakequant`` backend's operands).
     - ``weight_q`` — the two-level integer weight
@@ -119,105 +114,10 @@ class QuantizedLayer(nn.Module):
         return f"{type(self).__name__}({geo}, backend={self.backend!r})"
 
 
-class QuantConv2d(QuantizedLayer):
-    """Conv2d quantized per the paper's Fig. 1 geometry (vectors along C)."""
-
-    @classmethod
-    def from_float(
-        cls,
-        conv: nn.Conv2d,
-        weight_quantizer: Quantizer | None,
-        input_quantizer: Quantizer | None,
-        **runtime,
-    ) -> "QuantConv2d":
-        spec = LayerQuantSpec(
-            name="",
-            kind="conv2d",
-            geometry={
-                "in_channels": conv.in_channels,
-                "out_channels": conv.out_channels,
-                "kernel_size": conv.kernel_size,
-                "stride": conv.stride,
-                "padding": conv.padding,
-                "bias": conv.bias is not None,
-            },
-            weight=weight_quantizer.spec if weight_quantizer else None,
-            inputs=input_quantizer.spec if input_quantizer else None,
-        )
-        return cls(
-            spec,
-            weight=conv.weight,
-            bias=conv.bias,
-            weight_quantizer=weight_quantizer,
-            input_quantizer=input_quantizer,
-            **runtime,
-        )
-
-
-class QuantLinear(QuantizedLayer):
-    """Linear quantized along the in-features reduction axis."""
-
-    @classmethod
-    def from_float(
-        cls,
-        linear: nn.Linear,
-        weight_quantizer: Quantizer | None,
-        input_quantizer: Quantizer | None,
-        **runtime,
-    ) -> "QuantLinear":
-        spec = LayerQuantSpec(
-            name="",
-            kind="linear",
-            geometry={
-                "in_features": linear.in_features,
-                "out_features": linear.out_features,
-                "bias": linear.bias is not None,
-            },
-            weight=weight_quantizer.spec if weight_quantizer else None,
-            inputs=input_quantizer.spec if input_quantizer else None,
-        )
-        return cls(
-            spec,
-            weight=linear.weight,
-            bias=linear.bias,
-            weight_quantizer=weight_quantizer,
-            input_quantizer=input_quantizer,
-            **runtime,
-        )
-
-
-class QuantEmbedding(QuantizedLayer):
-    """Embedding table with a per-vector quantized weight (weight-only).
-
-    Inputs are integer ids, so there is no input quantizer; the lookup
-    result is exactly the dequantized table row, identical under the
-    fakequant and integer backends (same Eq. 7c codes either way).
-    """
-
-    @classmethod
-    def from_float(
-        cls,
-        emb: nn.Embedding,
-        weight_quantizer: Quantizer | None,
-        **runtime,
-    ) -> "QuantEmbedding":
-        spec = LayerQuantSpec(
-            name="",
-            kind="embedding",
-            geometry={
-                "num_embeddings": emb.num_embeddings,
-                "embedding_dim": emb.embedding_dim,
-                "bias": False,
-            },
-            weight=weight_quantizer.spec if weight_quantizer else None,
-        )
-        return cls(spec, weight=emb.weight, weight_quantizer=weight_quantizer, **runtime)
-
-
 class QuantMultiHeadAttention(nn.MultiHeadAttention):
     """Attention with quantized score/context matmul operands.
 
-    The q/k/v/out projections are separate :class:`QuantLinear` children
+    The q/k/v/out projections are separate linear :class:`QuantizedLayer` children
     (swapped by their own plan entries); this wrapper additionally
     fake-quantizes the operands of the two weight-less batched matmuls —
     ``q @ k^T`` (both along d_head) and ``softmax(scores) @ v`` (probs

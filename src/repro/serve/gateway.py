@@ -105,6 +105,11 @@ logger = get_logger("gateway")
 #: tensors as JSON while keeping one client from buffering the process out.
 DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: How often the idle HTTP loop checks for a stop request; it bounds how
+#: long ``Gateway.stop`` waits (the stdlib default is 0.5 s). Requests
+#: wake the loop at once regardless.
+_POLL_INTERVAL_S = 0.02
+
 
 class GatewayError(RuntimeError):
     """Gateway-side configuration/lifecycle error."""
@@ -359,7 +364,10 @@ class Gateway:
         httpd.gateway = self
         self._httpd = httpd
         self._thread = threading.Thread(
-            target=httpd.serve_forever, name="gateway-http", daemon=True
+            target=httpd.serve_forever,
+            args=(_POLL_INTERVAL_S,),
+            name="gateway-http",
+            daemon=True,
         )
         self._thread.start()
         logger.info("gateway listening on %s", self.url)

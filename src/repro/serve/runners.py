@@ -91,10 +91,9 @@ def serve_artifact(
     """Load a deployment artifact into the integer engine and wrap it.
 
     One call from an artifact directory to an (unstarted)
-    :class:`InferenceServer` — builder-registered and structural
-    (builder-less) artifacts alike. Defaults are the serving-friendly
-    knobs: per-sample activation scales (batch-invariant replies under
-    dynamic batching) and float32 glue precision.
+    :class:`InferenceServer`. Defaults are the serving-friendly knobs:
+    per-sample activation scales (batch-invariant replies under dynamic
+    batching) and float32 glue precision.
     """
     from repro.deploy import IntegerEngine
 

@@ -11,7 +11,6 @@ from repro.deploy import (
     ARTIFACT_VERSION,
     ArtifactError,
     load_artifact,
-    register_builder,
     save_artifact,
 )
 from repro.deploy.artifact import MANIFEST_NAME, PAYLOAD_NAME
@@ -38,7 +37,7 @@ class TestSave:
         qmodel, out, manifest = tiny_resnet_artifact
         assert manifest["format"] == ARTIFACT_FORMAT
         assert manifest["format_version"] == ARTIFACT_VERSION
-        assert manifest["model"]["builder"] == "miniresnet"
+        assert manifest["model"]["builder"] is None  # written for older readers
         assert manifest["model"]["arch"] == {"num_classes": 4, "width": 1, "depth": 1}
         assert manifest["quant"]["label"] == "4/8/4/6"
         assert len(manifest["layers"]) == len(quant_layers(qmodel))
@@ -74,32 +73,12 @@ class TestSave:
         model.eval()
         config = PTQConfig.vs_quant(4, 4, weight_scale="4", act_scale="4")
         qmodel = quantize_model(model, config, calib_batches=[(rng.standard_normal((4, 32)),)])
-        # v2: no registered builder -> the structural manifest carries it.
+        # The structural manifest carries a non-zoo topology; no arch.
         manifest = save_artifact(qmodel, tmp_path / "structural")
         assert manifest["model"]["builder"] is None
+        assert manifest["model"]["arch"] is None
+        assert manifest["model"]["name"] == "Sequential"
         assert manifest["model"]["structure"]["class"].endswith("Sequential")
-        # An explicitly *unknown* builder still fails fast.
-        with pytest.raises(ArtifactError, match="builder"):
-            save_artifact(qmodel, tmp_path / "bad", builder="not-registered", arch={})
-        register_builder("test-seq-mlp", lambda arch: nn.Sequential(nn.Linear(32, 8)))
-        manifest = save_artifact(qmodel, tmp_path / "ok", builder="test-seq-mlp", arch={})
-        assert manifest["model"]["builder"] == "test-seq-mlp"
-        # A custom builder without an arch needs the arch stated explicitly.
-        with pytest.raises(ArtifactError, match="explicit arch"):
-            save_artifact(qmodel, tmp_path / "bad2", builder="test-seq-mlp")
-
-    def test_explicit_builder_not_overridden_by_zoo_meta(self, rng, tmp_path):
-        model = MiniResNet(num_classes=4, width=1, depth=1, seed=0)
-        model.eval()
-        qmodel = quantize_model(
-            model,
-            PTQConfig.vs_quant(4, 8, weight_scale="4", act_scale="6"),
-            calib_batches=[(rng.standard_normal((4, 3, 16, 16)),)],
-        )
-        register_builder("custom-resnet", lambda arch: MiniResNet(**arch))
-        manifest = save_artifact(qmodel, tmp_path / "custom", builder="custom-resnet")
-        assert manifest["model"]["builder"] == "custom-resnet"  # arch derived, builder kept
-        assert manifest["model"]["arch"]["num_classes"] == 4
 
 
 class TestLoadRoundTrip:
@@ -139,7 +118,7 @@ class TestLoadRoundTrip:
         artifact = load_artifact(out)
         by_name = {layer.name: layer for layer in artifact.layers}
         for dotted, layer in quant_layers(qmodel):
-            assert by_name[dotted].act.signed == layer.input_quantizer.spec.signed
+            assert by_name[dotted].spec.inputs.signed == layer.input_quantizer.spec.signed
 
 
 class TestManifestPlan:
@@ -158,21 +137,17 @@ class TestManifestPlan:
         assert entries["head"]["skipped"]
         assert not any(e["name"] == "head" for e in manifest["layers"])
 
-    def test_v1_spec_synthesis_tolerates_weight_only_entries(self):
-        from repro.deploy.artifact import _v1_layer_spec
-
-        entry = {
-            "name": "emb",
-            "kind": "embedding",
-            "geometry": {"num_embeddings": 8, "embedding_dim": 16},
-            "weight": {
-                "elem_bits": 4, "elem_signed": True, "scale_bits": 4,
-                "vector_size": 16, "axis": 1,
-            },
-            "act": None,
-        }
-        spec = _v1_layer_spec(entry)
-        assert spec.inputs is None and spec.weight.bits == 4
+    def test_layer_missing_from_plan_rejected(self, tiny_resnet_artifact):
+        """The layer table alone no longer describes a layer: a conv or
+        linear entry without a plan entry fails instead of being guessed."""
+        _, out, _ = tiny_resnet_artifact
+        manifest = json.loads((out / MANIFEST_NAME).read_text())
+        for kind in ("conv2d", "linear"):
+            name = next(e["name"] for e in manifest["layers"] if e["kind"] == kind)
+            edited = dict(manifest, plan=[e for e in manifest["plan"] if e["name"] != name])
+            (out / MANIFEST_NAME).write_text(json.dumps(edited))
+            with pytest.raises(ArtifactError, match=f"{kind} layer '{name}' missing from the plan"):
+                load_artifact(out)
 
     def test_inspect_artifact_skips_payload_unpacking(self, tiny_resnet_artifact):
         from repro.deploy import inspect_artifact
@@ -204,6 +179,14 @@ class TestIntegrity:
         blob = (out / PAYLOAD_NAME).read_bytes()
         (out / PAYLOAD_NAME).write_bytes(blob[:-10])
         with pytest.raises(ArtifactError):
+            load_artifact(out)
+
+    def test_version1_manifest_rejected_with_reexport_hint(self, tiny_resnet_artifact):
+        _, out, _ = tiny_resnet_artifact
+        manifest = json.loads((out / MANIFEST_NAME).read_text())
+        manifest["format_version"] = 1
+        (out / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactError, match=r"version 1 unsupported.*version 2.*re-export"):
             load_artifact(out)
 
     def test_unsupported_version_rejected(self, tiny_resnet_artifact):

@@ -1,9 +1,8 @@
-"""Structural manifests: builder-less save -> load -> serve round trips.
+"""Structural manifests: save -> load -> serve round trips.
 
-A model with **no** registered topology builder must round-trip through
-the artifact format purely on the structural module-tree spec embedded in
-``manifest.json`` (format v2), and version-1 manifests (no plan, no
-structure) must still load through the builder registry.
+Every model round-trips through the artifact format purely on the
+structural module-tree spec embedded in ``manifest.json`` (format v2),
+including zoo artifacts whose manifest still names a topology builder.
 """
 
 import json
@@ -13,10 +12,8 @@ import pytest
 
 from repro import nn
 from repro.deploy import (
-    ArtifactError,
     IntegerEngine,
     build_from_structure,
-    load_artifact,
     module_structure,
     save_artifact,
 )
@@ -28,7 +25,7 @@ from repro.tensor.tensor import Tensor, no_grad
 
 
 class CustomNet(nn.Module):
-    """A model no builder knows about (module top level: importable)."""
+    """A model outside the zoo (module top level: importable)."""
 
     def __init__(self, rng=None):
         super().__init__()
@@ -192,48 +189,29 @@ class TestMainModuleFallback:
         assert y.shape == (3, 4)
 
 
-class TestV1BackCompat:
-    def test_version1_manifest_loads_via_builder(self, rng, tmp_path):
-        """Strip the v2 extras from a zoo artifact: still loads and runs."""
+class TestLegacyBuilderName:
+    def test_zoo_artifact_naming_a_builder_loads_structurally(self, rng, tmp_path):
+        """Zoo exports from before the builder registry was retired say
+        ``"builder": "miniresnet"``; the name is ignored and the structural
+        rebuild serves exactly what the ``builder: null`` manifest serves."""
         from repro.models.resnet import MiniResNet
 
         model = MiniResNet(num_classes=4, width=1, depth=1, seed=0)
         model.eval()
-        calib = rng.standard_normal((4, 3, 16, 16))
         q = quantize_model(
             model,
-            PTQConfig.vs_quant(4, 8, weight_scale="4", act_scale="6"),
-            calib_batches=[(calib,)],
+            PTQConfig.vs_quant(4, 4, weight_scale="4", act_scale="4"),
+            calib_batches=[(rng.standard_normal((4, 3, 16, 16)),)],
         )
-        out = tmp_path / "v1"
+        out = tmp_path / "zoo"
         save_artifact(q, out, task="image")
+        x = rng.standard_normal((5, 3, 16, 16)).astype(np.float32)
+        serving = dict(per_sample_scale=True, precision="float32")
+        y_null = IntegerEngine.load(out, **serving)(x)
         manifest = json.loads((out / MANIFEST_NAME).read_text())
-        manifest["format_version"] = 1
-        del manifest["plan"]
-        del manifest["model"]["structure"]
+        assert manifest["model"]["builder"] is None
+        manifest["model"]["builder"] = "miniresnet"
         (out / MANIFEST_NAME).write_text(json.dumps(manifest))
-        artifact = load_artifact(out)
-        assert len(artifact.plan) == len(artifact.layers)  # synthesized
-        engine = IntegerEngine.load(out)
-        x = rng.standard_normal((2, 3, 16, 16))
-        with no_grad():
-            y_fake = q(Tensor(x)).data
-        y_int = engine(x)
-        scale = np.abs(y_fake).max() + 1e-12
-        assert np.median(np.abs(y_int - y_fake) / scale) < 1e-9
-
-    def test_version1_without_builder_fails_clearly(self, rng, tmp_path):
-        qmodel = quantize_model(
-            CustomNet(),
-            PTQConfig.vs_quant(4, 8, weight_scale="4", act_scale="6"),
-            calib_batches=[(rng.standard_normal((2, 3, 10, 10)),)],
-        )
-        out = tmp_path / "v1-nobuilder"
-        save_artifact(qmodel, out, task="image")
-        manifest = json.loads((out / MANIFEST_NAME).read_text())
-        manifest["format_version"] = 1
-        del manifest["plan"]
-        del manifest["model"]["structure"]
-        (out / MANIFEST_NAME).write_text(json.dumps(manifest))
-        with pytest.raises(ArtifactError, match="builder"):
-            IntegerEngine.load(out)
+        engine = IntegerEngine.load(out, **serving)
+        assert isinstance(engine.model, MiniResNet)
+        np.testing.assert_array_equal(engine(x), y_null)

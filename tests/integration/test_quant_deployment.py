@@ -12,14 +12,14 @@ from repro import nn
 from repro.quant import (
     Granularity,
     IntFormat,
+    LayerQuantSpec,
     QuantSpec,
-    Quantizer,
     ScaleFormat,
     VectorLayout,
 )
 from repro.quant.export import pack_tensor, unpack_tensor
 from repro.quant.integer_exec import integer_linear, quantize_tensor
-from repro.quant.qlayers import QuantLinear
+from repro.quant.plan import get_handler
 from repro.tensor import Tensor
 from repro.tensor.tensor import no_grad
 
@@ -31,27 +31,27 @@ SBITS = 6
 @pytest.fixture
 def layer_and_input(rng):
     base = nn.Linear(64, 12, bias=False, rng=rng)
-    wq = Quantizer(
-        QuantSpec(
-            bits=BITS,
-            granularity=Granularity.PER_VECTOR,
-            vector_size=V,
-            vector_axis=1,
-            channel_axes=(0,),
-            scale=ScaleFormat.parse(str(SBITS)),
-        )
+    wq = QuantSpec(
+        bits=BITS,
+        granularity=Granularity.PER_VECTOR,
+        vector_size=V,
+        vector_axis=1,
+        channel_axes=(0,),
+        scale=ScaleFormat.parse(str(SBITS)),
     )
-    aq = Quantizer(
-        QuantSpec(
-            bits=BITS,
-            granularity=Granularity.PER_VECTOR,
-            vector_size=V,
-            vector_axis=-1,
-            channel_axes=(),
-            scale=ScaleFormat.parse(str(SBITS)),
-        )
+    aq = QuantSpec(
+        bits=BITS,
+        granularity=Granularity.PER_VECTOR,
+        vector_size=V,
+        vector_axis=-1,
+        channel_axes=(),
+        scale=ScaleFormat.parse(str(SBITS)),
     )
-    qlayer = QuantLinear.from_float(base, wq, aq)
+    spec = LayerQuantSpec(
+        name="", kind="linear", geometry={"in_features": 64, "out_features": 12},
+        weight=wq, inputs=aq,
+    )
+    qlayer = get_handler("linear").build(base, spec)
     x = rng.standard_normal((5, 64))
     return qlayer, base, x
 

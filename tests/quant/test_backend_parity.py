@@ -270,14 +270,13 @@ class TestFullyQuantizedBERT:
         np.testing.assert_allclose(solo, full, rtol=1e-6, atol=1e-9)
 
     def test_embedding_backends_bitwise_equal(self, rng):
-        from repro.quant import QuantEmbedding, Quantizer
-        from repro.quant.plan import weight_spec
+        from repro import nn
+        from repro.quant.plan import get_handler
 
         config = PTQConfig.vs_quant(4, 4, weight_scale="4", act_scale="4")
-        from repro import nn
-
         emb = nn.Embedding(12, 32, rng=rng)
-        q = QuantEmbedding.from_float(emb, Quantizer(weight_spec(config)))
+        handler = get_handler("embedding")
+        q = handler.build(emb, handler.plan("emb", emb, config))
         idx = rng.integers(0, 12, (5, 7))
         with no_grad():
             y_fake = q(idx).data

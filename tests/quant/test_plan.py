@@ -11,7 +11,6 @@ from repro.models.bert import MiniBERT, MiniBERTConfig
 from repro.quant import (
     Granularity,
     PTQConfig,
-    QuantEmbedding,
     QuantMultiHeadAttention,
     QuantPlan,
     attention_layers,
@@ -151,7 +150,7 @@ class TestPlanFromModel:
             model, cfg, calib_batches=[(tokens, mask)],
             forward=lambda m, b: m(b[0], mask=b[1]),
         )
-        embeddings = [m for _, m in quant_layers(q) if isinstance(m, QuantEmbedding)]
+        embeddings = [m for _, m in quant_layers(q) if m.kind == "embedding"]
         assert len(embeddings) == 2  # token + position tables
         wrappers = attention_layers(q)
         assert len(wrappers) == TINY_BERT.num_layers

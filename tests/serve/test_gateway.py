@@ -243,6 +243,16 @@ def tiny_artifact(rng, tmp_path):
 
 
 class TestGatewayHTTP:
+    def test_idle_stop_returns_promptly(self):
+        """Stopping must not wait out a half-second poll of the HTTP loop."""
+        elapsed = []
+        for _ in range(3):  # best of three: one scheduler stall is not a regression
+            gw = Gateway(ModelRegistry()).start()
+            t0 = time.perf_counter()
+            gw.stop()
+            elapsed.append(time.perf_counter() - t0)
+        assert min(elapsed) < 0.1, elapsed
+
     def test_healthz_models_and_model_detail(self, client):
         assert client.healthz()["status"] == "ok"
         models = client.models()
