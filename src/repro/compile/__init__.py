@@ -1,22 +1,14 @@
-"""Runtime-compiled kernel backend: lazy op graph -> fused C via cc + ctypes.
+"""Runtime-compiled kernel backend: quantized linear layers -> fused C via cc + ctypes.
 
-See ``docs/compile.md`` for the IR, fusion rules, C ABI, cache layout,
-and the graceful-fallback contract. Importing this package registers the
-``"compiled"`` execution backend in :mod:`repro.quant.backends` (the
-registry also imports it, so either import order works).
+Only linear layers compile; every other layer runs the numpy
+``integer-prefolded`` path it matches bitwise. See ``docs/compile.md``
+for why, the kernel, the C ABI, cache layout, and the graceful-fallback
+contract. Importing this package registers the ``"compiled"`` execution
+backend in :mod:`repro.quant.backends` (the registry also imports it, so
+either import order works).
 """
 
 from .backend import CompiledBackend
-from .graph import (
-    CompileGraphError,
-    GraphBuilder,
-    LazyOp,
-    Stage,
-    conv2d_graph,
-    fuse,
-    graph_key,
-    linear_graph,
-)
 from .renderer import KernelSpec, render, source_fingerprint
 from .runtime import (
     CompileError,

@@ -1,32 +1,33 @@
-"""The ``compiled`` execution backend: fused C kernels via cc + ctypes.
+"""The ``compiled`` execution backend: fused C linear kernels via cc + ctypes.
 
-Subclasses :class:`~repro.quant.backends.IntegerBackend` so that every
-semantic decision (weight quantization, bias dtype handling, embedding
-dequant tables, input coercion) is inherited from the reference
-implementation; only the hot loop is replaced. For each layer the
-prepare step:
+Subclasses :class:`~repro.quant.backends.PrefoldedBackend`, the numpy
+serving path, and replaces only the linear hot loop. Convolutions and
+embeddings run the inherited prefolded numpy path: on the zoo's
+MiniResNet a single-threaded direct-conv C loop lost to numpy's im2col
+GEMM at every batch size, so there is no compiled conv. For each linear
+layer the prepare step:
 
-1. runs the inherited integer prepare (quantize weights, bias, formats);
-2. scale-folds the weight codes once into a dense integer matrix
+1. runs the inherited prefolded prepare (quantize weights, bias,
+   formats, fold the weight codes once);
+2. narrows the folded weights to the kernel's dense integer matrix
    (``int16``/``int32`` chosen from the format bounds — the fold
-   ``codes * sq`` is exact by construction);
-3. records the layer's op graph (:func:`repro.compile.graph.linear_graph`
-   / :func:`~repro.compile.graph.conv2d_graph`).
+   ``codes * sq`` is exact by construction). That matrix replaces the
+   float copy, so the layer keeps one folded weight array.
 
-At call time the graph + a dtype/shape :class:`KernelSpec` are lowered
-to C (:mod:`repro.compile.renderer`), compiled and memoized by the
-kernel cache (:mod:`repro.compile.runtime`), and invoked via ctypes on
-the raw array buffers.
+At call time a dtype/shape :class:`KernelSpec` is rendered to C
+(:mod:`repro.compile.renderer`), compiled and memoized by the kernel
+cache (:mod:`repro.compile.runtime`), and invoked via ctypes on the raw
+array buffers.
 
 Parity contract: bitwise identical to the ``integer`` backend for every
-supported configuration. Configurations the renderer does not model
-(non-standard vector axes, non-float64 weight gammas from a forced
-compute-dtype policy, exotic input dtypes) silently run the inherited
-numpy path instead — identical results, just not compiled. A *missing
-compiler* is different: ``prepare`` raises ``QuantBackendError`` so the
-engine-level ``resolve_backend`` fallback (one warning, then
-``integer``) is the only silent path, per the fallback contract in
-``docs/compile.md``.
+supported configuration. Linear configurations the renderer does not
+model (non-standard vector axes, non-float64 weight gammas from a
+forced compute-dtype policy, exotic input dtypes) silently run the
+inherited prefolded numpy path instead — identical results, just not
+compiled. A *missing compiler* is different: ``prepare`` raises
+``QuantBackendError`` so the engine-level ``resolve_backend`` fallback
+(one warning, then ``integer-prefolded``) is the only silent path, per
+the fallback contract in ``docs/compile.md``.
 """
 
 from __future__ import annotations
@@ -37,14 +38,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.quant.backends import (
-    IntegerBackend,
+    PrefoldedBackend,
     QuantBackendError,
     register_backend,
 )
 from repro.tensor.tensor import Tensor
 from repro.utils.dtypes import resolve_dtype
 
-from .graph import conv2d_graph, linear_graph
 from .renderer import KernelSpec, render
 from .runtime import compiler_available, compiler_probe, kernel_cache
 
@@ -61,10 +61,8 @@ def _ctype(np_dtype) -> str | None:
 
 @dataclass
 class _CompiledState:
-    """Per-layer prepared operands + kernel memo for the compiled path."""
+    """Per-layer kernel settings + kernel memo (weights stay on the layer)."""
 
-    wf: np.ndarray          # folded integer weights (K, C2) / (K, R*S*C2)
-    gw: np.ndarray          # coarse weight scales, float64 (K,)
     bias: np.ndarray | None
     out_np: np.dtype        # output array dtype
     out_ct: str
@@ -80,8 +78,8 @@ def _operand_type(fold_max: int) -> str:
     return "int16_t" if fold_max <= _INT16_MAX else "int32_t"
 
 
-class CompiledBackend(IntegerBackend):
-    """Integer execution lowered to fused, runtime-compiled C kernels."""
+class CompiledBackend(PrefoldedBackend):
+    """Prefolded execution with linear layers lowered to fused C kernels."""
 
     name = "compiled"
 
@@ -97,32 +95,22 @@ class CompiledBackend(IntegerBackend):
             err = compiler_probe().get("error", "no working C compiler")
             raise QuantBackendError(
                 f"layer {layer.spec.name or '?'}: backend 'compiled' is "
-                f"unavailable ({err}); select 'integer' instead or fix the "
-                "toolchain — engine-level backend='auto'/'compiled' falls "
-                "back automatically"
+                f"unavailable ({err}); select 'integer-prefolded' instead or fix "
+                "the toolchain — engine-level backend='compiled' falls back "
+                "automatically"
             )
         super().prepare(layer)
-        layer._compiled = None
-        if layer.spec.kind == "embedding":
-            return  # inherited dequant-table lookup; nothing to compile
-        if layer.scale_product_bits is not None:
-            raise QuantBackendError(
-                f"layer {layer.spec.name or '?'}: compiled backend cannot apply "
-                "scale_product_bits (folding distributes the per-vector scales "
-                "into the codes); use the 'integer' backend"
-            )
-        layer._compiled = self._plan(layer)
+        layer._compiled = self._plan(layer) if layer.spec.kind == "linear" else None
 
     def _plan(self, layer) -> _CompiledState | None:
-        """Build the folded operands, or ``None`` to use the numpy path.
+        """Narrow ``layer._wf`` to the kernel's operand, or ``None``.
 
         ``None`` means "correct but not compilable as rendered": the
-        inherited integer implementation runs instead, so results never
-        change — only speed.
+        inherited prefolded implementation runs instead, so results
+        never change — only speed.
         """
         wq = layer.weight_q
-        expected_axis = 1 if layer.spec.kind == "conv2d" else -1
-        if layer._act_layout.axis != expected_axis:
+        if layer._act_layout.axis != -1:
             return None
         if np.asarray(wq.gamma).dtype != np.float64:
             # A forced compute-dtype policy produced low-precision weight
@@ -141,71 +129,53 @@ class CompiledBackend(IntegerBackend):
         wsqmax = 2**wq.scale_fmt.bits - 1
         fold_x = afmt.qmax * asqmax
         fold_w = wq.fmt.qmax * wsqmax
-        K = wq.codes.shape[0]
-        # Folded row length: C2 for linear, R*S*C2 for conv (zero padding
-        # in the tail vectors contributes nothing to the bound).
-        reduction = int(np.prod(wq.codes.shape[1:]))
-        bound = fold_x * fold_w * reduction
+        # Zero padding in the tail vector contributes nothing to the bound.
+        bound = fold_x * fold_w * layer._wf.shape[1]
         if bound >= _EXACT_I64:
             return None  # exact_gemm_dtype should have refused already
 
         xt = _operand_type(fold_x)
         wt = _operand_type(fold_w)
         acct = "int32_t" if bound <= _INT32_MAX else "int64_t"
-        wt_np = np.int16 if wt == "int16_t" else np.int32
-        wf = np.multiply(wq.codes, wq.sq[..., None], dtype=np.float64)
-        wf = np.ascontiguousarray(wf.reshape(K, -1).astype(wt_np))
-        gw = np.ascontiguousarray(np.asarray(wq.gamma).reshape(K), dtype=np.float64)
+        layer._wf = np.ascontiguousarray(
+            layer._wf, dtype=np.int16 if wt == "int16_t" else np.int32
+        )
+        layer._gamma_w = np.ascontiguousarray(layer._gamma_w)
         bias = layer._bias_data
         if bias is not None:
             bias = np.ascontiguousarray(bias, dtype=out_np)
         return _CompiledState(
-            wf=wf, gw=gw, bias=bias, out_np=out_np, out_ct=out_ct,
+            bias=bias, out_np=out_np, out_ct=out_ct,
             fused=layer.out_dtype is not None,
             xt=xt, wt=wt, acct=acct, asqmax=asqmax,
         )
 
     # -- kernel materialization -----------------------------------------
-    def _kernel(self, layer, state: _CompiledState, kind: str,
-                xin_np, sdt_np, per_sample: bool):
-        key = (kind, np.dtype(xin_np).char, np.dtype(sdt_np).char, per_sample)
+    def _kernel(self, layer, state: _CompiledState, xin_np, sdt_np,
+                per_sample: bool):
+        key = (np.dtype(xin_np).char, np.dtype(sdt_np).char, per_sample)
         fn = state.kernels.get(key)
         if fn is not None:
             return fn
         afmt = layer._act_fmt
-        has_bias = state.bias is not None
-        build = linear_graph if kind == "linear" else conv2d_graph
-        graph = build(
-            vector_size=layer._act_layout.vector_size,
-            qmin=int(afmt.qmin), qmax=int(afmt.qmax), sqmax=state.asqmax,
-            per_sample=per_sample, has_bias=has_bias,
-        )
-        conv = kind == "conv2d"
         spec = KernelSpec(
-            kind=kind,
             xin=_ctype(xin_np), sdt=_ctype(sdt_np), out=state.out_ct,
             fused=state.fused, per_sample=per_sample,
+            has_bias=state.bias is not None,
             xt=state.xt, wt=state.wt, acct=state.acct,
-            F=layer.in_channels if conv else layer.in_features,
-            K=layer.out_channels if conv else layer.out_features,
+            F=layer.in_features, K=layer.out_features,
             V=layer._act_layout.vector_size,
             aqmin=int(afmt.qmin), aqmax=int(afmt.qmax), asqmax=state.asqmax,
-            R=layer.kernel_size if conv else 0,
-            S=layer.kernel_size if conv else 0,
-            stride=layer.stride if conv else 1,
-            pad=layer.padding if conv else 0,
         )
-        source = render(graph, spec)
-        fn = kernel_cache().get(source)
-        n_dims = 3 if conv else 2
-        fn.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_longlong] * n_dims
+        fn = kernel_cache().get(render(spec))
+        fn.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_longlong] * 2
         fn.restype = ctypes.c_int
         state.kernels[key] = fn
         return fn
 
     # -- execution -------------------------------------------------------
     def run_linear(self, layer, x) -> Tensor:
-        state = getattr(layer, "_compiled", None)
+        state = layer._compiled
         data = self._input_array(layer, x)
         sdt = resolve_dtype(data)
         if (
@@ -222,11 +192,11 @@ class CompiledBackend(IntegerBackend):
         # numpy's unfused epilogue picks its multiply order by gamma size —
         # so B == 1 must take the per-tensor kernel to stay bitwise equal.
         ps = bool(layer.per_sample_scale) and B > 1
-        fn = self._kernel(layer, state, "linear", data.dtype, sdt, ps)
+        fn = self._kernel(layer, state, data.dtype, sdt, ps)
         out = np.empty(data.shape[:-1] + (layer.out_features,), dtype=state.out_np)
         T = int(np.prod(data.shape[1:-1], dtype=np.int64)) if data.ndim > 2 else 1
         rc = fn(
-            data.ctypes.data, state.wf.ctypes.data, state.gw.ctypes.data,
+            data.ctypes.data, layer._wf.ctypes.data, layer._gamma_w.ctypes.data,
             state.bias.ctypes.data if state.bias is not None else None,
             out.ctypes.data, B, T,
         )
@@ -237,43 +207,6 @@ class CompiledBackend(IntegerBackend):
             )
         rows = int(np.prod(out.shape[:-1]))
         layer.last_macs = rows * layer.in_features * layer.out_features
-        layer.last_output_shape = out.shape
-        return Tensor(out)
-
-    def run_conv2d(self, layer, x) -> Tensor:
-        state = getattr(layer, "_compiled", None)
-        data = self._input_array(layer, x)
-        sdt = resolve_dtype(data)
-        if (
-            state is None
-            or data.ndim != 4
-            or data.shape[1] != layer.in_channels
-            or _ctype(data.dtype) is None
-            or _ctype(sdt) is None
-        ):
-            return super().run_conv2d(layer, x)
-        data = np.ascontiguousarray(data)
-        B, C, H, W = data.shape
-        # Same B == 1 collapse as run_linear: numpy treats a size-1 gamma
-        # as per-tensor, so the kernel must match its epilogue order.
-        ps = bool(layer.per_sample_scale) and B > 1
-        fn = self._kernel(layer, state, "conv2d", data.dtype, sdt, ps)
-        ks, stride, pad = layer.kernel_size, layer.stride, layer.padding
-        P = (H + 2 * pad - ks) // stride + 1
-        Q = (W + 2 * pad - ks) // stride + 1
-        K = layer.out_channels
-        out = np.empty((B, K, P, Q), dtype=state.out_np)
-        rc = fn(
-            data.ctypes.data, state.wf.ctypes.data, state.gw.ctypes.data,
-            state.bias.ctypes.data if state.bias is not None else None,
-            out.ctypes.data, B, H, W,
-        )
-        if rc != 0:
-            raise QuantBackendError(
-                f"layer {layer.spec.name or '?'}: compiled kernel scratch "
-                "allocation failed"
-            )
-        layer.last_macs = B * K * P * Q * C * ks**2
         layer.last_output_shape = out.shape
         return Tensor(out)
 

@@ -1,23 +1,22 @@
-"""C renderer: lowers a fused op graph to a flat-loop kernel.
+"""C renderer: lowers one quantized linear layer to a flat-loop kernel.
 
-The renderer consumes the two :class:`~repro.compile.graph.Stage` groups
-produced by :func:`repro.compile.graph.fuse` plus a :class:`KernelSpec`
-(dtypes, integer formats, baked geometry) and emits one self-contained C
-translation unit exporting::
+Every layer the compiled backend lowers runs the same fixed pipeline::
+
+    quantize -> clamp -> fold -> gemm -> scale [-> bias]
+
+so a :class:`KernelSpec` (dtypes, integer formats, baked geometry, the
+per-sample and bias flags) is the whole description of a kernel. The
+renderer emits one self-contained C translation unit exporting::
 
     int repro_kernel(const void *x, const void *wf, const double *gw,
                      const void *bias, void *out,
-                     long long B, long long T);            /* linear */
-    int repro_kernel(const void *x, const void *wf, const double *gw,
-                     const void *bias, void *out,
-                     long long B, long long H, long long W); /* conv2d */
+                     long long B, long long T);
 
 Returns 0 on success, 1 on scratch-allocation failure. ``x`` is the
-C-contiguous float input (row-major ``(..., F)`` for linear, NCHW for
-conv), ``wf`` the pre-folded integer weight matrix ``(K, C2)`` /
-``(K, R*S*C2)``, ``gw`` the per-output-channel coarse weight scales
-(float64), ``bias`` the bias vector in the output dtype (NULL when the
-layer has none), ``out`` the pre-allocated output array.
+C-contiguous float input (row-major ``(..., F)``), ``wf`` the pre-folded
+integer weight matrix ``(K, C2)``, ``gw`` the per-output-channel coarse
+weight scales (float64), ``bias`` the bias vector in the output dtype
+(NULL when the layer has none), ``out`` the pre-allocated output array.
 
 Bitwise parity with the numpy ``integer`` backend is the whole game, so
 every floating-point rounding site replicates the eager pipeline
@@ -26,19 +25,16 @@ rounding, same epsilon clamps); the integer GEMM itself is exact in any
 order while the operand/accumulator bounds hold (checked by the backend
 before it selects the integer types in the spec). No ``-ffast-math``.
 
-Fusion is real, not cosmetic: the prologue stage's quantize/clamp/fold
-ops become ONE pass over the input (absmax reduction + a single
-round-clamp-fold loop), and the matmul stage's epilogue ops (scale,
-bias, relu) are emitted inside the GEMM's output write, so the
-accumulator is finished while still in a register.
+The prologue (quantize/clamp/fold) is ONE pass over the input after the
+absmax reduction, and the epilogue (scale, bias) is emitted inside the
+GEMM's output write, so the accumulator is finished while still in a
+register.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-
-from .graph import CompileGraphError, LazyOp, Stage, fuse, graph_key
 
 _CTYPES = {"float", "double"}
 _INT_OPERANDS = {"int16_t", "int32_t", "double"}
@@ -47,39 +43,33 @@ _ACCUMULATORS = {"int32_t", "int64_t", "double"}
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Everything baked into a rendered kernel besides the op graph."""
+    """Everything baked into a rendered linear kernel."""
 
-    kind: str             # "linear" | "conv2d"
     xin: str              # input storage C type: float | double
     sdt: str              # scale compute C type (policy-resolved)
     out: str              # output C type
     fused: bool           # fused low-precision epilogue vs f64 reference order
     per_sample: bool
+    has_bias: bool
     xt: str               # folded activation operand type
     wt: str               # folded weight operand type
     acct: str             # accumulator type
-    F: int                # reduction feature count (in_features / in_channels)
-    K: int                # output channels
+    F: int                # reduction feature count (in_features)
+    K: int                # output features
     V: int                # vector size
     aqmin: int            # activation code clamp bounds
     aqmax: int
     asqmax: int           # activation per-vector scale max (2**bits - 1)
-    R: int = 0            # conv kernel height (0 for linear)
-    S: int = 0            # conv kernel width
-    stride: int = 1
-    pad: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("linear", "conv2d"):
-            raise CompileGraphError(f"unknown kernel kind {self.kind!r}")
         for name in ("xin", "sdt", "out"):
             if getattr(self, name) not in _CTYPES:
-                raise CompileGraphError(f"{name} must be float/double, got "
-                                        f"{getattr(self, name)!r}")
+                raise ValueError(f"{name} must be float/double, got "
+                                 f"{getattr(self, name)!r}")
         if self.xt not in _INT_OPERANDS or self.wt not in _INT_OPERANDS:
-            raise CompileGraphError(f"bad operand types {self.xt}/{self.wt}")
+            raise ValueError(f"bad operand types {self.xt}/{self.wt}")
         if self.acct not in _ACCUMULATORS:
-            raise CompileGraphError(f"bad accumulator type {self.acct!r}")
+            raise ValueError(f"bad accumulator type {self.acct!r}")
 
     @property
     def cdt(self) -> str:
@@ -104,23 +94,18 @@ def _lit(value: str, ctype: str) -> str:
     return value if ctype == "double" else value + "f"
 
 
-def _epilogue(spec: KernelSpec, epilogue_ops: tuple[LazyOp, ...],
-              acc: str, gx: str, dst: str, indent: str,
+def _epilogue(spec: KernelSpec, acc: str, gx: str, dst: str, indent: str,
               suffix: str = "") -> list[str]:
     """Emit the fused GEMM epilogue for one output element.
 
     ``acc`` holds the exact integer accumulator, ``gx`` a ``double``
     holding the activation coarse scale for this sample, ``dst`` the
-    output lvalue. The op list drives what gets emitted — bias/relu
-    lines only exist when the graph recorded those nodes. ``suffix``
-    uniquifies the locals inside the row-blocked GEMM body.
+    output lvalue. ``suffix`` uniquifies the locals inside the
+    row-blocked GEMM body.
     """
     o = spec.out
     sc, ov = f"sc{suffix}", f"ov{suffix}"
     lines: list[str] = []
-    first = epilogue_ops[0]
-    if first.op != "scale":  # pragma: no cover - fuse() already enforces
-        raise CompileGraphError(f"epilogue must start with scale, got {first.op!r}")
     if spec.fused:
         # numpy: scale = (gamma_x * gamma_w).astype(out); out = acc * scale
         # (one low-precision multiply; the f64 product rounds to out first).
@@ -132,109 +117,24 @@ def _epilogue(spec: KernelSpec, epilogue_ops: tuple[LazyOp, ...],
     else:
         # numpy reference order: (acc_f64 * gamma_x) * gamma_w
         lines.append(f"double {ov} = ((double){acc} * {gx}) * gw[k];")
-    for op in epilogue_ops[1:]:
-        if op.op == "bias":
-            lines.append(f"{ov} += bias[k];")
-        elif op.op == "relu":
-            lines.append(f"if ({ov} < ({o})0) {ov} = ({o})0;")
-        else:  # pragma: no cover - fuse() already enforces
-            raise CompileGraphError(f"cannot fuse {op.op!r} into the epilogue")
+    if spec.has_bias:
+        lines.append(f"{ov} += bias[k];")
     lines.append(f"{dst} = {ov};")
     return [indent + ln for ln in lines]
 
 
-def _quantize_fold(spec: KernelSpec, xr: str, sv: str, dst: str, gx: str,
-                   count: str, chan_stride: str, indent: str) -> str:
-    """One fused quantize->clamp->fold pass over one logical vector row.
-
-    ``xr``: pointer to the first real element; ``chan_stride``: element
-    stride between consecutive features (1 for linear rows, H*W for NCHW
-    conv positions); ``count``: number of real features (F); the
-    zero-padded tail up to C2 is written explicitly. ``sv`` points at
-    this row's per-vector scales (already computed by the absmax pass),
-    ``gx`` is the SDT coarse scale for this row's sample.
-    """
-    s, c, x = spec.sdt, spec.cdt, spec.xt
-    rint_s, rint_c = _rint(s), _rint(c)
-    i = indent
-    return f"""\
-{i}for (long long v = 0; v < NV; v++) {{
-{i}    {s} qs = {rint_s}({sv}[v] / {gx});
-{i}    if (qs < ({s})0) qs = ({s})0;
-{i}    if (qs > ({s})ASQMAX) qs = ({s})ASQMAX;
-{i}    long long base = v * V;
-{i}    long long n = base + V <= {count} ? V : {count} - base;
-{i}    {c} sc = ({c}){sv}[v];
-{i}    for (long long j = 0; j < n; j++) {{
-{i}        {c} cd = {rint_c}(({c}){xr}[(base + j) * {chan_stride}] / sc);
-{i}        if (cd < ({c})AQMIN) cd = ({c})AQMIN;
-{i}        if (cd > ({c})AQMAX) cd = ({c})AQMAX;
-{i}        {dst}[base + j] = ({x})(cd * ({c})qs);
-{i}    }}
-{i}    for (long long j = n; j < V; j++) {dst}[base + j] = 0;
-{i}}}"""
-
-
-def _absmax_scales(spec: KernelSpec, xr: str, sv: str, count: str,
-                   chan_stride: str, indent: str) -> str:
-    """Per-vector absmax -> scale pass (numpy: max(max, -min) / qmax)."""
-    s, x = spec.sdt, spec.xin
-    i = indent
-    eps = _lit("1e-12", s)
-    return f"""\
-{i}for (long long v = 0; v < NV; v++) {{
-{i}    long long base = v * V;
-{i}    long long n = base + V <= {count} ? V : {count} - base;
-{i}    {x} a = 0;
-{i}    for (long long j = 0; j < n; j++) {{
-{i}        {x} t = {xr}[(base + j) * {chan_stride}];
-{i}        if (t > a) a = t;
-{i}        if (-t > a) a = -t;
-{i}    }}
-{i}    {s} sa = ({s})a / ({s})AQMAX;
-{i}    {sv}[v] = sa > {eps} ? sa : {eps};
-{i}}}"""
-
-
-def _header(spec: KernelSpec, key: str) -> str:
-    conv = spec.kind == "conv2d"
-    dims = [f"#define F {spec.F}", f"#define K {spec.K}", f"#define V {spec.V}",
-            f"#define NV {spec.nv}", f"#define C2 {spec.c2}",
-            f"#define AQMIN ({spec.aqmin})", f"#define AQMAX {spec.aqmax}",
-            f"#define ASQMAX {spec.asqmax}"]
-    if conv:
-        dims += [f"#define R {spec.R}", f"#define S {spec.S}",
-                 f"#define STRIDE {spec.stride}", f"#define PAD {spec.pad}"]
-    return "\n".join([
-        "/* generated by repro.compile - do not edit */",
-        f"/* graph: {key} */",
-        "#include <math.h>",
-        "#include <stdint.h>",
-        "#include <stdlib.h>",
-        "#include <string.h>",
-        "",
-        *dims,
-        "",
-        "static void *xmalloc(size_t n) { return malloc(n > 0 ? n : 1); }",
-        "",
-    ])
-
-
-def _render_linear(prologue: Stage, matmul: Stage, spec: KernelSpec,
-                   key: str) -> str:
-    epi = matmul.ops[1:]
-    x, s, o = spec.xin, spec.sdt, spec.out
+def render(spec: KernelSpec) -> str:
+    """Lower a :class:`KernelSpec` to a C translation unit."""
+    x, s, o, c = spec.xin, spec.sdt, spec.out, spec.cdt
     xt, wt, at = spec.xt, spec.wt, spec.acct
-    eps30 = _lit("1e-30", s)
-    absmax = _absmax_scales(spec, "xr", "svr", "F", "1", " " * 8)
-    foldq = _quantize_fold(spec, "xr", "svr", "dst", "g", "F", "1", " " * 8)
+    eps12, eps30 = _lit("1e-12", s), _lit("1e-30", s)
     epi_blk = "\n".join(
         line
         for i in range(4)
-        for line in _epilogue(spec, epi, f"a{i}", f"g{i}", f"o{i}[k]",
-                              " " * 16, suffix=str(i))
+        for line in _epilogue(spec, f"a{i}", f"g{i}", f"o{i}[k]", " " * 16,
+                              suffix=str(i))
     )
-    epi_tail = "\n".join(_epilogue(spec, epi, "a", "gr", "or_[k]", " " * 12))
+    epi_tail = "\n".join(_epilogue(spec, "a", "gr", "or_[k]", " " * 12))
 
     if spec.per_sample:
         gamma_body = f"""\
@@ -260,7 +160,24 @@ def _render_linear(prologue: Stage, matmul: Stage, spec: KernelSpec,
         gx_row = "gamma[0]"
         gx_sample = "0"
 
-    return _header(spec, key) + f"""\
+    return f"""\
+/* generated by repro.compile - do not edit */
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define F {spec.F}
+#define K {spec.K}
+#define V {spec.V}
+#define NV {spec.nv}
+#define C2 {spec.c2}
+#define AQMIN ({spec.aqmin})
+#define AQMAX {spec.aqmax}
+#define ASQMAX {spec.asqmax}
+
+static void *xmalloc(size_t n) {{ return malloc(n > 0 ? n : 1); }}
+
 int repro_kernel(const void *x_, const void *wf_, const double *gw,
                  const void *bias_, void *out_,
                  long long NB, long long NT)
@@ -276,26 +193,52 @@ int repro_kernel(const void *x_, const void *wf_, const double *gw,
     if (!xf || !sv || !gamma) {{ free(xf); free(sv); free(gamma); return 1; }}
     (void)bias;
 
-    /* prologue stage 1/2: per-vector absmax -> scales */
+    /* prologue 1/2: per-vector absmax -> scales (max(max, -min) / qmax) */
     for (long long r = 0; r < rows; r++) {{
         const {x} *xr = x + r * F;
         {s} *svr = sv + r * NV;
-{absmax}
+        for (long long v = 0; v < NV; v++) {{
+            long long base = v * V;
+            long long n = base + V <= F ? V : F - base;
+            {x} a = 0;
+            for (long long j = 0; j < n; j++) {{
+                {x} t = xr[base + j];
+                if (t > a) a = t;
+                if (-t > a) a = -t;
+            }}
+            {s} sa = ({s})a / ({s})AQMAX;
+            svr[v] = sa > {eps12} ? sa : {eps12};
+        }}
     }}
 
     /* coarse scale (gamma = max(smax / sqmax, 1e-30)) */
 {gamma_body}
 
-    /* prologue stage 2/2: fused quantize -> clamp -> scale-fold */
+    /* prologue 2/2: fused quantize -> clamp -> scale-fold; the
+       zero-padded tail of the last vector is written explicitly */
     for (long long r = 0; r < rows; r++) {{
         const {x} *xr = x + r * F;
         const {s} *svr = sv + r * NV;
         {s} g = {gx_row};
         {xt} *dst = xf + r * C2;
-{foldq}
+        for (long long v = 0; v < NV; v++) {{
+            {s} qs = {_rint(s)}(svr[v] / g);
+            if (qs < ({s})0) qs = ({s})0;
+            if (qs > ({s})ASQMAX) qs = ({s})ASQMAX;
+            long long base = v * V;
+            long long n = base + V <= F ? V : F - base;
+            {c} sc = ({c})svr[v];
+            for (long long j = 0; j < n; j++) {{
+                {c} cd = {_rint(c)}(({c})xr[base + j] / sc);
+                if (cd < ({c})AQMIN) cd = ({c})AQMIN;
+                if (cd > ({c})AQMAX) cd = ({c})AQMAX;
+                dst[base + j] = ({xt})(cd * ({c})qs);
+            }}
+            for (long long j = n; j < V; j++) dst[base + j] = 0;
+        }}
     }}
 
-    /* matmul stage: 4-row-blocked GEMM with fused epilogue */
+    /* matmul: 4-row-blocked GEMM with fused epilogue */
     long long r0 = 0;
     for (; r0 + 4 <= rows; r0 += 4) {{
         const {xt} *x0 = xf + (r0 + 0) * C2;
@@ -341,122 +284,6 @@ int repro_kernel(const void *x_, const void *wf_, const double *gw,
     return 0;
 }}
 """
-
-
-def _render_conv2d(prologue: Stage, matmul: Stage, spec: KernelSpec,
-                   key: str) -> str:
-    epi = matmul.ops[1:]
-    x, s, o = spec.xin, spec.sdt, spec.out
-    xt, wt, at = spec.xt, spec.wt, spec.acct
-    eps30 = _lit("1e-30", s)
-    absmax = _absmax_scales(spec, "px", "svp", "F", "HW", " " * 12)
-    foldq = _quantize_fold(spec, "px", "svp", "dst", "g", "F", "HW", " " * 12)
-    epi_blk = "\n".join(_epilogue(spec, epi, "a", "gb", "ok[p * Q + q]", " " * 16))
-
-    if spec.per_sample:
-        gamma_body = f"""\
-    for (long long b = 0; b < NB; b++) {{
-        const {s} *sb = sv + b * HW * NV;
-        {s} m = 0;
-        for (long long i = 0; i < HW * NV; i++)
-            if (sb[i] > m) m = sb[i];
-        {s} g = m / ({s})ASQMAX;
-        gamma[b] = g > {eps30} ? g : {eps30};
-    }}"""
-        gb_expr = "gamma[b]"
-    else:
-        gamma_body = f"""\
-    {{
-        {s} m = 0;
-        for (long long i = 0; i < NB * HW * NV; i++)
-            if (sv[i] > m) m = sv[i];
-        {s} g = m / ({s})ASQMAX;
-        gamma[0] = g > {eps30} ? g : {eps30};
-    }}"""
-        gb_expr = "gamma[0]"
-
-    return _header(spec, key) + f"""\
-int repro_kernel(const void *x_, const void *wf_, const double *gw,
-                 const void *bias_, void *out_,
-                 long long NB, long long H, long long W)
-{{
-    const {x} *x = (const {x} *)x_;
-    const {wt} *wf = (const {wt} *)wf_;
-    const {o} *bias = (const {o} *)bias_;
-    {o} *out = ({o} *)out_;
-    const long long HW = H * W;
-    const long long P = (H + 2 * PAD - R) / STRIDE + 1;
-    const long long Q = (W + 2 * PAD - S) / STRIDE + 1;
-    {xt} *xf = ({xt} *)xmalloc((size_t)NB * HW * C2 * sizeof({xt}));
-    {s} *sv = ({s} *)xmalloc((size_t)NB * HW * NV * sizeof({s}));
-    {s} *gamma = ({s} *)xmalloc((size_t)(NB > 0 ? NB : 1) * sizeof({s}));
-    if (!xf || !sv || !gamma) {{ free(xf); free(sv); free(gamma); return 1; }}
-    (void)bias;
-
-    /* prologue stage 1/2: per-vector absmax -> scales (vectors along C) */
-    for (long long b = 0; b < NB; b++) {{
-        const {x} *xb = x + b * F * HW;
-        for (long long i = 0; i < HW; i++) {{
-            const {x} *px = xb + i;
-            {s} *svp = sv + (b * HW + i) * NV;
-{absmax}
-        }}
-    }}
-
-    /* coarse scale (gamma = max(smax / sqmax, 1e-30)) */
-{gamma_body}
-
-    /* prologue stage 2/2: fused quantize -> clamp -> scale-fold */
-    for (long long b = 0; b < NB; b++) {{
-        const {x} *xb = x + b * F * HW;
-        {s} g = {gb_expr};
-        for (long long i = 0; i < HW; i++) {{
-            const {x} *px = xb + i;
-            const {s} *svp = sv + (b * HW + i) * NV;
-            {xt} *dst = xf + (b * HW + i) * C2;
-{foldq}
-        }}
-    }}
-
-    /* matmul stage: implicit-im2col direct conv with fused epilogue */
-    for (long long b = 0; b < NB; b++) {{
-        const double gb = (double){gb_expr};
-        const {xt} *xfb = xf + b * HW * C2;
-        for (long long k = 0; k < K; k++) {{
-            const {wt} *wk = wf + k * R * S * C2;
-            {o} *ok = out + (b * K + k) * P * Q;
-            for (long long p = 0; p < P; p++)
-            for (long long q = 0; q < Q; q++) {{
-                {at} a = 0;
-                for (long long r = 0; r < R; r++) {{
-                    long long ih = p * STRIDE - PAD + r;
-                    if (ih < 0 || ih >= H) continue;
-                    for (long long sx = 0; sx < S; sx++) {{
-                        long long iw = q * STRIDE - PAD + sx;
-                        if (iw < 0 || iw >= W) continue;
-                        const {xt} *xp = xfb + (ih * W + iw) * C2;
-                        const {wt} *wp = wk + (r * S + sx) * C2;
-                        for (long long c = 0; c < C2; c++)
-                            a += ({at})xp[c] * ({at})wp[c];
-                    }}
-                }}
-{epi_blk}
-            }}
-        }}
-    }}
-    free(xf); free(sv); free(gamma);
-    return 0;
-}}
-"""
-
-
-def render(root: LazyOp, spec: KernelSpec) -> str:
-    """Lower a recorded layer graph + spec to a C translation unit."""
-    prologue, matmul = fuse(root)
-    key = graph_key(root)
-    if spec.kind == "linear":
-        return _render_linear(prologue, matmul, spec, key)
-    return _render_conv2d(prologue, matmul, spec, key)
 
 
 def source_fingerprint(source: str, toolchain: str) -> str:

@@ -12,7 +12,7 @@ via :mod:`ctypes`, and memoize the result in a two-level cache:
   ``os.replace``) so concurrent processes never load a torn object.
 
 The cache key is ``sha256(rendered source + compiler identity)`` — the
-source already encodes the full dtype/shape/graph signature (it is
+source already encodes the full dtype/shape signature (it is
 rendered from them), and folding in the compiler identity means a
 toolchain upgrade transparently invalidates old objects.
 

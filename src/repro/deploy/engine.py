@@ -134,8 +134,8 @@ def build_integer_model(
 
     ``backend`` selects the execution backend for every quantized layer:
     ``"auto"`` (prefolded numpy), ``"integer"``, ``"integer-prefolded"``,
-    or ``"compiled"`` (fused C kernels). Requesting an unavailable
-    backend degrades to ``integer`` with one process-wide warning
+    or ``"compiled"`` (fused C linear kernels). Requesting an unavailable
+    backend degrades to ``integer-prefolded`` with one process-wide warning
     (:func:`repro.quant.backends.resolve_backend`); every choice is
     bitwise identical where it applies, so the degradation is safe.
     """

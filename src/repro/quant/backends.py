@@ -20,19 +20,21 @@ A :class:`repro.quant.qlayers.QuantizedLayer` owns *what* to quantize (its
     identical to ``integer`` with ``scale_product_bits=None`` (both run
     the same :func:`~repro.quant.integer_exec.integer_*_folded` tail).
 ``compiled``
-    The quantize/GEMM/epilogue pipeline lowered to fused C kernels,
-    compiled at runtime with the system ``cc`` and loaded via ctypes
-    (:mod:`repro.compile`). Bitwise identical to ``integer`` with
-    ``scale_product_bits=None``; registers as *unavailable* when no
-    working compiler is present (see :func:`resolve_backend`).
+    ``integer-prefolded`` with each linear layer's quantize/GEMM/epilogue
+    pipeline lowered to one fused C kernel, compiled at runtime with the
+    system ``cc`` and loaded via ctypes (:mod:`repro.compile`); other
+    layer kinds run the prefolded numpy path. Bitwise identical to
+    ``integer`` with ``scale_product_bits=None``; registers as
+    *unavailable* when no working compiler is present (see
+    :func:`resolve_backend`).
 
 Backends are selected **per layer at runtime** via
 :meth:`QuantizedLayer.set_backend`; registering a new backend is one
 ``register_backend`` call — no parallel class hierarchy per layer type.
 A backend may additionally report runtime availability (``available`` /
 ``probe``): selecting an unavailable backend via ``set_backend`` raises,
-while the engine-level :func:`resolve_backend` degrades to ``integer``
-with a single process-wide warning.
+while the engine-level :func:`resolve_backend` degrades to
+``integer-prefolded`` with a single process-wide warning.
 """
 
 from __future__ import annotations
@@ -118,19 +120,18 @@ def backend_probe(name: str) -> dict:
 _FALLBACK_WARNED: set[str] = set()
 
 
-def resolve_backend(name: str, fallback: str = "integer") -> str:
-    """``name`` if that backend is available, else ``fallback``.
+def resolve_backend(name: str) -> str:
+    """``name`` if that backend is available, else ``integer-prefolded``.
 
     The degradation path for environments without a C toolchain: a model
-    loaded with ``backend='compiled'`` (or ``'auto'`` resolved to it)
-    serves on the numpy ``integer`` backend instead — same results,
-    interpreter speed — and the process logs **one** warning total, not
-    one per layer or per model.
+    loaded with ``backend='compiled'`` serves on the numpy serving path
+    ``backend='auto'`` would pick — same results, numpy speed — and the
+    process logs **one** warning total, not one per layer or per model.
     """
     backend = get_backend(name)
     if backend.available():
         return name
-    get_backend(fallback)  # fail loudly if the fallback itself is unknown
+    fallback = "integer-prefolded"
     if name not in _FALLBACK_WARNED:
         _FALLBACK_WARNED.add(name)
         detail = backend.probe().get("error", "unavailable in this environment")
@@ -346,7 +347,7 @@ class PrefoldedBackend(IntegerBackend):
             return  # dequantized table is already the prepared form
         if layer.scale_product_bits is not None:
             raise QuantBackendError(
-                f"layer {layer.spec.name or '?'}: integer-prefolded cannot apply "
+                f"layer {layer.spec.name or '?'}: {self.name} cannot apply "
                 "scale_product_bits (rounding needs the unfolded per-vector scales); "
                 "use the 'integer' backend"
             )
@@ -369,7 +370,10 @@ class PrefoldedBackend(IntegerBackend):
         xf = np.multiply(xq.codes, xq.sq[..., None], dtype=layer._code_dtype).reshape(
             xq.codes.shape[:-2] + (-1,)
         )
-        out = integer_linear_folded(xf, xq.gamma, layer._wf, layer._gamma_w, layer.out_dtype)
+        # The compiled backend narrows ``_wf`` to its kernel's integer
+        # operand; widening back to the code dtype is exact.
+        wf = layer._wf.astype(layer._code_dtype, copy=False)
+        out = integer_linear_folded(xf, xq.gamma, wf, layer._gamma_w, layer.out_dtype)
         rows = int(np.prod(out.shape[:-1]))
         layer.last_macs = rows * layer.in_features * layer.out_features
         return self._finish(layer, out, conv=False)

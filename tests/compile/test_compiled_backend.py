@@ -4,9 +4,11 @@ Three tiers:
 
 - **contract tests** (run everywhere, compiler or not): unknown-backend
   errors enumerate the registry, ``set_backend("compiled")`` without a
-  toolchain raises clearly, and :func:`resolve_backend` degrades with
-  exactly one process-wide warning;
-- **directed parity** on a bias'd Linear and a padded strided Conv2d;
+  toolchain raises clearly, and :func:`resolve_backend` degrades to
+  ``integer-prefolded`` with exactly one process-wide warning — for a
+  loaded engine too;
+- **directed parity** on a bias'd Linear and a padded strided Conv2d
+  (convolutions run the prefolded numpy path and compile no kernel);
 - **hypothesis fuzz parity**: random shapes x 2-8 bit code/scale
   formats, per-sample and per-tensor, float32/float64 serving dtypes —
   compiled output must equal the numpy ``integer`` backend **bitwise**.
@@ -18,7 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.compile import compiler_available, reset_compiler_probe
+from repro.compile import (
+    KernelSpec,
+    compiler_available,
+    kernel_cache_stats,
+    reset_compiler_probe,
+    render,
+    reset_kernel_cache,
+)
+from repro.deploy import IntegerEngine, save_artifact
+from repro.models.resnet import MiniResNet
 from repro.quant import PTQConfig, quant_layers, quantize_model
 from repro.quant.backends import (
     QuantBackendError,
@@ -44,6 +55,16 @@ def _outputs(qmodel, x, backend, **runtime):
         layer.set_backend(backend, **runtime)
     with no_grad():
         return qmodel(Tensor(x)).data
+
+
+def _engine_vs_integer(path, x, backend):
+    """Serve ``x`` from ``path`` under ``backend``, then under ``integer``."""
+    engine = IntegerEngine.load(path, precision="float32", backend=backend)
+    backends = {layer.backend for _, layer in quant_layers(engine.model)}
+    y = engine(x)
+    for _, layer in quant_layers(engine.model):
+        layer.set_backend("integer")
+    return backends, y, engine(x)
 
 
 def _assert_bitwise(qmodel, x, **runtime):
@@ -102,29 +123,43 @@ class TestContracts:
         monkeypatch.setattr(backends_mod, "_FALLBACK_WARNED", set())
         try:
             with caplog.at_level("WARNING", logger="repro.quant.backends"):
-                assert resolve_backend("compiled") == "integer"
-                assert resolve_backend("compiled") == "integer"
-                assert resolve_backend("compiled") == "integer"
+                assert resolve_backend("compiled") == "integer-prefolded"
+                assert resolve_backend("compiled") == "integer-prefolded"
+                assert resolve_backend("compiled") == "integer-prefolded"
             warnings = [
-                r for r in caplog.records if "falling back to 'integer'" in r.message
+                r for r in caplog.records
+                if "falling back to 'integer-prefolded'" in r.message
             ]
             assert len(warnings) == 1
             assert "'compiled' is unavailable" in warnings[0].message
         finally:
             reset_compiler_probe()
 
-    def test_resolve_backend_unknown_names_raise(self, monkeypatch):
-        # An unknown *requested* backend raises immediately...
+    def test_resolve_backend_unknown_names_raise(self):
         with pytest.raises(QuantBackendError, match="unknown execution backend"):
             resolve_backend("nope")
-        # ...and an unknown *fallback* raises when degradation happens.
+
+    def test_engine_without_toolchain_serves_prefolded(self, monkeypatch, rng, tmp_path):
+        """backend='compiled' on a toolchain-less host serves what 'auto'
+        serves, bit for bit equal to the integer reference."""
+        model = MiniResNet(num_classes=4, width=1, depth=1, seed=0)
+        model.eval()
+        qmodel = _quantize(
+            model,
+            PTQConfig.vs_quant(4, 4, weight_scale="4", act_scale="4"),
+            rng.standard_normal((4, 3, 16, 16)),
+        )
+        save_artifact(qmodel, tmp_path / "m", task="image")
+        x = rng.standard_normal((3, 3, 16, 16)).astype(np.float32)
         monkeypatch.setenv("CC", "/bin/false")
         reset_compiler_probe()
         try:
-            with pytest.raises(QuantBackendError, match="unknown execution backend"):
-                resolve_backend("compiled", fallback="nope")
+            backends, y, y_int = _engine_vs_integer(tmp_path / "m", x, "compiled")
         finally:
             reset_compiler_probe()
+        assert backends == {"integer-prefolded"}
+        assert y.dtype == y_int.dtype
+        np.testing.assert_array_equal(y, y_int)
 
     def test_available_backends_resolve_to_themselves(self):
         assert resolve_backend("integer") == "integer"
@@ -134,6 +169,28 @@ class TestContracts:
         for name in ("fakequant", "integer", "integer-prefolded"):
             assert get_backend(name).available() is True
             assert get_backend(name).probe() == {"available": True}
+
+
+class TestKernelSpec:
+    SPEC = dict(
+        xin="float", sdt="float", out="float", fused=True, per_sample=True,
+        has_bias=True, xt="int16_t", wt="int16_t", acct="int32_t",
+        F=40, K=12, V=16, aqmin=-7, aqmax=7, asqmax=15,
+    )
+
+    @pytest.mark.parametrize(
+        "field, bad", [("xin", "half"), ("out", "int"), ("wt", "int8_t"), ("acct", "float")]
+    )
+    def test_rejects_bad_types(self, field, bad):
+        with pytest.raises(ValueError):
+            KernelSpec(**{**self.SPEC, field: bad})
+
+    def test_bias_flag_drives_the_epilogue(self):
+        with_bias = render(KernelSpec(**self.SPEC))
+        without = render(KernelSpec(**{**self.SPEC, "has_bias": False}))
+        assert "+= bias[k];" in with_bias
+        assert "+= bias[k];" not in without
+        assert "int repro_kernel(" in without
 
 
 # ----------------------------------------------------------------------
@@ -169,6 +226,45 @@ class TestDirectedParity:
         _assert_bitwise(
             qmodel, x, per_sample_scale=per_sample, out_dtype=out_dtype
         )
+
+    def test_conv_only_model_compiles_no_kernel(self, monkeypatch, rng, tmp_path):
+        """Convolutions run the prefolded numpy path: a conv-only engine
+        under 'compiled' never invokes the compiler."""
+        model = nn.Sequential(
+            nn.Conv2d(4, 8, kernel_size=3, padding=1, rng=rng),
+            nn.ReLU(),
+            nn.Conv2d(8, 4, kernel_size=3, stride=2, padding=1, rng=rng),
+        )
+        qmodel = _quantize(
+            model,
+            PTQConfig.vs_quant(4, 4, weight_scale="4", act_scale="4"),
+            rng.standard_normal((4, 4, 10, 10)),
+        )
+        save_artifact(qmodel, tmp_path / "m", task="image")
+        x = rng.standard_normal((3, 4, 10, 10)).astype(np.float32)
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kc"))
+        reset_kernel_cache()
+        try:
+            backends, y, y_int = _engine_vs_integer(tmp_path / "m", x, "compiled")
+            assert kernel_cache_stats()["misses"] == 0
+        finally:
+            reset_kernel_cache()
+        assert backends == {"compiled"}
+        assert y.dtype == y_int.dtype
+        np.testing.assert_array_equal(y, y_int)
+
+    def test_uncompilable_input_dtype_uses_numpy_path(self, rng):
+        """A float16 input has no kernel; the numpy path then reads the
+        kernel's integer weight matrix, the layer's only folded copy."""
+        qmodel = _quantize(
+            nn.Sequential(nn.Linear(24, 10, rng=rng)),
+            PTQConfig.vs_quant(4, 4, weight_scale="4", act_scale="4"),
+            rng.standard_normal((5, 24)),
+        )
+        (_, layer), = quant_layers(qmodel)
+        x = rng.standard_normal((5, 24)).astype(np.float16)
+        _assert_bitwise(qmodel, x)
+        assert layer._wf.dtype == np.int16
 
     def test_linear_3d_activations(self, rng):
         """Sequence-model shape (B, T, F): the kernel sees B*T rows but
