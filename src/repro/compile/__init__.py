@@ -1,15 +1,23 @@
 """Runtime-compiled kernel backend: quantized linear layers -> fused C via cc + ctypes.
 
 Only linear layers compile; every other layer runs the numpy
-``integer-prefolded`` path it matches bitwise. See ``docs/compile.md``
+``integer-prefolded`` path it matches bitwise. A second kernel
+fake-quantizes the attention operands of ``compiled`` engines
+(:class:`CompiledQuantizer`). See ``docs/compile.md``
 for why, the kernel, the C ABI, cache layout, and the graceful-fallback
 contract. Importing this package registers the ``"compiled"`` execution
 backend in :mod:`repro.quant.backends` (the registry also imports it, so
 either import order works).
 """
 
-from .backend import CompiledBackend
-from .renderer import KernelSpec, render, source_fingerprint
+from .backend import CompiledBackend, CompiledQuantizer, operand_quantizer
+from .renderer import (
+    KernelSpec,
+    QuantizeSpec,
+    render,
+    render_quantize,
+    source_fingerprint,
+)
 from .runtime import (
     CompileError,
     KernelCache,

@@ -28,11 +28,17 @@ compiled. A *missing compiler* is different: ``prepare`` raises
 ``QuantBackendError`` so the engine-level ``resolve_backend`` fallback
 (one warning, then ``integer-prefolded``) is the only silent path, per
 the fallback contract in ``docs/compile.md``.
+
+The engine gives a ``compiled`` model's attention operands a
+:class:`CompiledQuantizer` (:func:`operand_quantizer`): the numpy
+:class:`~repro.quant.quantizer.Quantizer` with its fake-quant replaced
+by the rendered ``repro_quantize`` kernel, bitwise equal as well.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,11 +48,13 @@ from repro.quant.backends import (
     QuantBackendError,
     register_backend,
 )
+from repro.quant.granularity import Granularity
+from repro.quant.quantizer import Quantizer, QuantSpec, ScaleKind
 from repro.tensor.tensor import Tensor
 from repro.utils.dtypes import resolve_dtype
 
-from .renderer import KernelSpec, render
-from .runtime import compiler_available, compiler_probe, kernel_cache
+from .renderer import KernelSpec, QuantizeSpec, render, render_quantize
+from .runtime import QUANTIZE_ENTRY, compiler_available, compiler_probe, kernel_cache
 
 _INT32_MAX = 2**31 - 1
 _INT16_MAX = 2**15 - 1
@@ -153,25 +161,30 @@ class CompiledBackend(PrefoldedBackend):
     # -- kernel materialization -----------------------------------------
     def _kernel(self, layer, state: _CompiledState, xin_np, sdt_np,
                 per_sample: bool):
-        key = (np.dtype(xin_np).char, np.dtype(sdt_np).char, per_sample)
-        fn = state.kernels.get(key)
+        dtypes = (np.dtype(xin_np).char, np.dtype(sdt_np).char)
+        fn = state.kernels.get((*dtypes, per_sample))
         if fn is not None:
             return fn
+        # The unfused per-sample layer serves both variants (run_linear):
+        # build them together so a request never waits on a compile that
+        # warm-up at the other batch size did not trigger.
+        unfused_ps = layer.per_sample_scale and not state.fused
         afmt = layer._act_fmt
-        spec = KernelSpec(
-            xin=_ctype(xin_np), sdt=_ctype(sdt_np), out=state.out_ct,
-            fused=state.fused, per_sample=per_sample,
-            has_bias=state.bias is not None,
-            xt=state.xt, wt=state.wt, acct=state.acct,
-            F=layer.in_features, K=layer.out_features,
-            V=layer._act_layout.vector_size,
-            aqmin=int(afmt.qmin), aqmax=int(afmt.qmax), asqmax=state.asqmax,
-        )
-        fn = kernel_cache().get(render(spec))
-        fn.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_longlong] * 2
-        fn.restype = ctypes.c_int
-        state.kernels[key] = fn
-        return fn
+        for ps in (False, True) if unfused_ps else (per_sample,):
+            spec = KernelSpec(
+                xin=_ctype(xin_np), sdt=_ctype(sdt_np), out=state.out_ct,
+                fused=state.fused, per_sample=ps,
+                has_bias=state.bias is not None,
+                xt=state.xt, wt=state.wt, acct=state.acct,
+                F=layer.in_features, K=layer.out_features,
+                V=layer._act_layout.vector_size,
+                aqmin=int(afmt.qmin), aqmax=int(afmt.qmax), asqmax=state.asqmax,
+            )
+            fn = kernel_cache().get(render(spec))
+            fn.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_longlong] * 2
+            fn.restype = ctypes.c_int
+            state.kernels[(*dtypes, ps)] = fn
+        return state.kernels[(*dtypes, per_sample)]
 
     # -- execution -------------------------------------------------------
     def run_linear(self, layer, x) -> Tensor:
@@ -188,10 +201,11 @@ class CompiledBackend(PrefoldedBackend):
             return super().run_linear(layer, x)
         data = np.ascontiguousarray(data)
         B = data.shape[0]
-        # A per-sample gamma over one sample *is* the per-tensor gamma, and
-        # numpy's unfused epilogue picks its multiply order by gamma size —
-        # so B == 1 must take the per-tensor kernel to stay bitwise equal.
-        ps = bool(layer.per_sample_scale) and B > 1
+        # A per-sample gamma over one sample *is* the per-tensor gamma, so
+        # the fused epilogue serves the per-sample kernel at every B. The
+        # unfused numpy epilogue picks its multiply order by gamma size, so
+        # there B == 1 must take the per-tensor kernel to stay bitwise equal.
+        ps = bool(layer.per_sample_scale) and (state.fused or B > 1)
         fn = self._kernel(layer, state, data.dtype, sdt, ps)
         out = np.empty(data.shape[:-1] + (layer.out_features,), dtype=state.out_np)
         T = int(np.prod(data.shape[1:-1], dtype=np.int64)) if data.ndim > 2 else 1
@@ -212,3 +226,96 @@ class CompiledBackend(PrefoldedBackend):
 
 
 register_backend(CompiledBackend())
+
+
+# ----------------------------------------------------------------------
+# attention operands
+# ----------------------------------------------------------------------
+def kernel_models(spec: QuantSpec) -> bool:
+    """Whether ``repro_quantize`` reproduces ``spec``'s fake-quant.
+
+    The kernel models max-calibrated per-vector two-level scales
+    decomposed vector-first, with one coarse gamma per tensor
+    (``channel_axes=()``) or per sample (``(0,)``).
+    """
+    return (
+        spec.granularity is Granularity.PER_VECTOR
+        and spec.calibration == "max"
+        and spec.scale.kind is ScaleKind.INT
+        and spec.decompose_order == "vector_first"
+        and tuple(spec.channel_axes) in ((), (0,))
+    )
+
+
+class CompiledQuantizer(Quantizer):
+    """A :class:`Quantizer` whose activation fake-quant runs the rendered
+    ``repro_quantize`` kernel (:func:`~repro.compile.renderer.render_quantize`).
+
+    Bitwise equal to :meth:`Quantizer._fake_quant_array`. The input is
+    viewed as ``(B, M, L, N)`` with the vector axis as ``L``, so one
+    compile per input dtype serves every shape. Calls the kernel does
+    not model run the numpy path: dtypes other than float32/float64 or a
+    forced compute-dtype policy, a vector axis of 0, empty inputs,
+    calibration observation and ``record_scales``. Build through
+    :func:`operand_quantizer`, which keeps the numpy class for specs the
+    kernel does not model.
+    """
+
+    def __init__(self, spec: QuantSpec):
+        super().__init__(spec)
+        self._kernels: dict[str, object] = {}
+
+    def _kernel(self, ct: str):
+        fn = self._kernels.get(ct)
+        if fn is None:
+            spec = self.spec
+            fn = kernel_cache().get(
+                render_quantize(QuantizeSpec(
+                    t=ct, V=spec.vector_size, qmin=spec.fmt.qmin,
+                    qmax=spec.fmt.qmax, sqmax=2**spec.scale.bits - 1,
+                    per_sample=tuple(spec.channel_axes) == (0,),
+                )),
+                entry=QUANTIZE_ENTRY,
+            )
+            fn.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_longlong] * 4
+            fn.restype = ctypes.c_int
+            self._kernels[ct] = fn
+        return fn
+
+    def _fake_quant_array(self, data: np.ndarray) -> np.ndarray:
+        x = np.asarray(data)
+        ct = _ctype(x.dtype)
+        axis = self.spec.vector_axis % x.ndim if x.ndim else 0
+        if (
+            ct is None
+            or axis == 0
+            or x.size == 0
+            or self._observing
+            or self.record_scales
+            or resolve_dtype(x) != x.dtype
+        ):
+            return super()._fake_quant_array(data)
+        x = np.ascontiguousarray(x)
+        out = np.empty(x.shape, dtype=x.dtype)
+        shape = x.shape
+        rc = self._kernel(ct)(
+            x.ctypes.data, out.ctypes.data, shape[0],
+            math.prod(shape[1:axis]), shape[axis], math.prod(shape[axis + 1 :]),
+        )
+        if rc != 0:
+            raise QuantBackendError("compiled quantize kernel scratch allocation failed")
+        return out
+
+    def __getstate__(self) -> dict:
+        state = super().__getstate__()
+        state["_kernels"] = {}  # ctypes handles do not pickle
+        return state
+
+
+def operand_quantizer(spec: QuantSpec) -> Quantizer:
+    """The quantizer ``compiled`` engines give an attention operand:
+    kernel-backed where :func:`kernel_models` holds and a compiler works,
+    the numpy :class:`Quantizer` otherwise."""
+    if kernel_models(spec) and compiler_available():
+        return CompiledQuantizer(spec)
+    return Quantizer(spec)

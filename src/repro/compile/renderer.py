@@ -1,4 +1,9 @@
-"""C renderer: lowers one quantized linear layer to a flat-loop kernel.
+"""C renderer: flat-loop kernels for quantized linear layers and operands.
+
+Two kernels share one per-vector quantize prologue (:class:`Prologue`,
+the dynamic half of Eq. 7): :func:`render` lowers a linear layer and
+:func:`render_quantize` a standalone fake-quantizer for any activation
+(the attention operands).
 
 Every layer the compiled backend lowers runs the same fixed pipeline::
 
@@ -34,7 +39,7 @@ register.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 _CTYPES = {"float", "double"}
 _INT_OPERANDS = {"int16_t", "int32_t", "double"}
@@ -123,11 +128,208 @@ def _epilogue(spec: KernelSpec, acc: str, gx: str, dst: str, indent: str,
     return [indent + ln for ln in lines]
 
 
+@dataclass(frozen=True)
+class Prologue:
+    """The per-vector quantize prologue every rendered kernel shares.
+
+    It views the input as C-contiguous ``(B, M, L, N)`` with vectors of
+    ``V`` elements along ``L``, and emits the dynamic half of Eq. 7 in
+    three C fragments over ``rows = B * M``:
+
+    1. :meth:`scales` — per-vector absmax, ``s = max(a / qmax, 1e-12)``;
+    2. :meth:`gamma` — ``gamma = max(smax / sqmax, 1e-30)`` per sample
+       (``B`` index) or per tensor;
+    3. :meth:`codes` — ``sq = clamp(rint(s / gamma), 0, sqmax)`` per
+       vector and ``code = clamp(rint(x / s), qmin, qmax)`` per element,
+       handed to a caller-supplied store.
+
+    ``L``/``M``/``N`` are C expressions (macros or runtime arguments);
+    ``N == "1"`` emits contiguous-vector loops. The fragments read
+    ``x``, ``rows`` and ``NV`` and write the scratch arrays ``sv``
+    (``rows * NV * N`` scales), ``gamma`` (``B`` or 1) and, for strided
+    vectors, ``qv`` (``N`` integer scales).
+    """
+
+    x: str            # input C type
+    s: str            # scale compute C type
+    c: str            # code compute C type
+    V: int
+    qmin: int
+    qmax: int
+    sqmax: int
+    per_sample: bool
+    L: str
+    M: str
+    N: str = "1"
+
+    @property
+    def contiguous(self) -> bool:
+        return self.N == "1"
+
+    def _row_scales(self) -> str:
+        return "NV" if self.contiguous else "NV * N"
+
+    def _row_elems(self) -> str:
+        return self.L if self.contiguous else f"{self.L} * N"
+
+    def _vector_bounds(self, indent: str) -> str:
+        return (f"{indent}long long base = v * V;\n"
+                f"{indent}long long n = base + V <= {self.L} ? V : {self.L} - base;")
+
+    def scales(self) -> str:
+        x, s = self.x, self.s
+        eps12 = _lit("1e-12", s)
+        head = f"""\
+    /* per-vector absmax -> scales (max(max, -min) / qmax) */
+    for (long long r = 0; r < rows; r++) {{
+        const {x} *xr = x + r * {self._row_elems()};
+        {s} *svr = sv + r * {self._row_scales()};
+        for (long long v = 0; v < NV; v++) {{
+{self._vector_bounds(" " * 12)}
+"""
+        if self.contiguous:
+            body = f"""\
+            {x} a = 0;
+            for (long long j = 0; j < n; j++) {{
+                {x} t = xr[base + j];
+                if (t > a) a = t;
+                if (-t > a) a = -t;
+            }}
+            {s} sa = ({s})a / ({s})QMAX;
+            svr[v] = sa > {eps12} ? sa : {eps12};
+"""
+        else:
+            # Rounding is monotone, so the absmax of the values cast to
+            # the scale type is the cast of the absmax.
+            body = f"""\
+            {s} *sr = svr + v * N;
+            for (long long i = 0; i < N; i++) sr[i] = 0;
+            for (long long j = 0; j < n; j++) {{
+                const {x} *xj = xr + (base + j) * N;
+                for (long long i = 0; i < N; i++) {{
+                    {s} t = ({s})xj[i];
+                    if (t > sr[i]) sr[i] = t;
+                    if (-t > sr[i]) sr[i] = -t;
+                }}
+            }}
+            for (long long i = 0; i < N; i++) {{
+                {s} sa = sr[i] / ({s})QMAX;
+                sr[i] = sa > {eps12} ? sa : {eps12};
+            }}
+"""
+        return head + body + "        }\n    }"
+
+    def gamma(self) -> str:
+        s = self.s
+        eps30 = _lit("1e-30", s)
+        per_sample = f"{self.M} * {self._row_scales()}"
+        if self.per_sample:
+            return f"""\
+    /* coarse scale (gamma = max(smax / sqmax, 1e-30)), one per sample */
+    for (long long b = 0; b < NB; b++) {{
+        const {s} *sb = sv + b * {per_sample};
+        {s} m = 0;
+        for (long long i = 0; i < {per_sample}; i++)
+            if (sb[i] > m) m = sb[i];
+        {s} g = m / ({s})SQMAX;
+        gamma[b] = g > {eps30} ? g : {eps30};
+    }}"""
+        return f"""\
+    /* coarse scale (gamma = max(smax / sqmax, 1e-30)), one per tensor */
+    {{
+        {s} m = 0;
+        for (long long i = 0; i < rows * {self._row_scales()}; i++)
+            if (sv[i] > m) m = sv[i];
+        {s} g = m / ({s})SQMAX;
+        gamma[0] = g > {eps30} ? g : {eps30};
+    }}"""
+
+    def gamma_index(self, row: str) -> str:
+        """The ``gamma`` index of row ``row``."""
+        return f"{row} / {self.M}" if self.per_sample else "0"
+
+    def _sq(self, dst: str, scale: str, indent: str) -> str:
+        s = self.s
+        return (f"{indent}{s} {dst} = {_rint(s)}({scale} / g);\n"
+                f"{indent}if ({dst} < ({s})0) {dst} = ({s})0;\n"
+                f"{indent}if ({dst} > ({s})SQMAX) {dst} = ({s})SQMAX;")
+
+    def _code(self, value: str, scale: str, indent: str) -> str:
+        c = self.c
+        return (f"{indent}{c} cd = {_rint(c)}(({c}){value} / {scale});\n"
+                f"{indent}if (cd < ({c})QMIN) cd = ({c})QMIN;\n"
+                f"{indent}if (cd > ({c})QMAX) cd = ({c})QMAX;")
+
+    def codes(self, dst_row: str, store, pad: bool = False) -> str:
+        """Quantize every element; ``store(code, sq)`` is the C
+        expression written to ``dst[...]``, where ``dst`` is the
+        ``dst_row`` declaration's pointer (a row of ``rows``).
+        ``pad`` zero-fills each vector's tail past ``L`` (honoured by
+        the contiguous loops, the only ones that need it)."""
+        x, s, c = self.x, self.s, self.c
+        head = f"""\
+    for (long long r = 0; r < rows; r++) {{
+        const {x} *xr = x + r * {self._row_elems()};
+        const {s} *svr = sv + r * {self._row_scales()};
+        {s} g = gamma[{self.gamma_index("r")}];
+        {dst_row}
+        for (long long v = 0; v < NV; v++) {{
+"""
+        if self.contiguous:
+            tail = ("\n            for (long long j = n; j < V; j++) dst[base + j] = 0;"
+                    if pad else "")
+            body = f"""\
+{self._sq("qs", "svr[v]", " " * 12)}
+{self._vector_bounds(" " * 12)}
+            {c} sc = ({c})svr[v];
+            for (long long j = 0; j < n; j++) {{
+{self._code("xr[base + j]", "sc", " " * 16)}
+                dst[base + j] = {store("cd", "qs")};
+            }}{tail}
+"""
+        else:
+            body = f"""\
+            const {s} *sr = svr + v * N;
+            for (long long i = 0; i < N; i++) {{
+{self._sq("q", "sr[i]", " " * 16)}
+                qv[i] = q;
+            }}
+{self._vector_bounds(" " * 12)}
+            for (long long j = 0; j < n; j++) {{
+                const {x} *xj = xr + (base + j) * N;
+                long long o = (base + j) * N;
+                for (long long i = 0; i < N; i++) {{
+{self._code("xj[i]", f"({c})sr[i]", " " * 20)}
+                    dst[o + i] = {store("cd", "qv[i]")};
+                }}
+            }}
+"""
+        return head + body + "        }\n    }"
+
+
+def _defines(**values) -> str:
+    return "\n".join(f"#define {k} {v}" for k, v in values.items())
+
+
+_HEADER = """\
+/* generated by repro.compile - do not edit */
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+"""
+
+_XMALLOC = "static void *xmalloc(size_t n) { return malloc(n > 0 ? n : 1); }"
+
+
 def render(spec: KernelSpec) -> str:
     """Lower a :class:`KernelSpec` to a C translation unit."""
     x, s, o, c = spec.xin, spec.sdt, spec.out, spec.cdt
     xt, wt, at = spec.xt, spec.wt, spec.acct
-    eps12, eps30 = _lit("1e-12", s), _lit("1e-30", s)
+    pro = Prologue(
+        x=x, s=s, c=c, V=spec.V, qmin=spec.aqmin, qmax=spec.aqmax,
+        sqmax=spec.asqmax, per_sample=spec.per_sample, L="F", M="NT",
+    )
     epi_blk = "\n".join(
         line
         for i in range(4)
@@ -135,48 +337,17 @@ def render(spec: KernelSpec) -> str:
                               suffix=str(i))
     )
     epi_tail = "\n".join(_epilogue(spec, "a", "gr", "or_[k]", " " * 12))
-
-    if spec.per_sample:
-        gamma_body = f"""\
-    for (long long b = 0; b < NB; b++) {{
-        const {s} *sb = sv + b * NT * NV;
-        {s} m = 0;
-        for (long long i = 0; i < NT * NV; i++)
-            if (sb[i] > m) m = sb[i];
-        {s} g = m / ({s})ASQMAX;
-        gamma[b] = g > {eps30} ? g : {eps30};
-    }}"""
-        gx_row = "gamma[r / NT]"
-        gx_sample = "r / NT"
-    else:
-        gamma_body = f"""\
-    {{
-        {s} m = 0;
-        for (long long i = 0; i < rows * NV; i++)
-            if (sv[i] > m) m = sv[i];
-        {s} g = m / ({s})ASQMAX;
-        gamma[0] = g > {eps30} ? g : {eps30};
-    }}"""
-        gx_row = "gamma[0]"
-        gx_sample = "0"
+    gxb = [pro.gamma_index(f"(r0 + {i})") for i in range(4)]
+    # The fold: codes * sq are exact small integers in the operand type.
+    fold = pro.codes(f"{xt} *dst = xf + r * C2;",
+                     lambda cd, qs: f"({xt})({cd} * ({c}){qs})", pad=True)
 
     return f"""\
-/* generated by repro.compile - do not edit */
-#include <math.h>
-#include <stdint.h>
-#include <stdlib.h>
-#include <string.h>
+{_HEADER}
+{_defines(F=spec.F, K=spec.K, V=spec.V, NV=spec.nv, C2=spec.c2,
+          QMIN=f"({spec.aqmin})", QMAX=spec.aqmax, SQMAX=spec.asqmax)}
 
-#define F {spec.F}
-#define K {spec.K}
-#define V {spec.V}
-#define NV {spec.nv}
-#define C2 {spec.c2}
-#define AQMIN ({spec.aqmin})
-#define AQMAX {spec.aqmax}
-#define ASQMAX {spec.asqmax}
-
-static void *xmalloc(size_t n) {{ return malloc(n > 0 ? n : 1); }}
+{_XMALLOC}
 
 int repro_kernel(const void *x_, const void *wf_, const double *gw,
                  const void *bias_, void *out_,
@@ -193,50 +364,13 @@ int repro_kernel(const void *x_, const void *wf_, const double *gw,
     if (!xf || !sv || !gamma) {{ free(xf); free(sv); free(gamma); return 1; }}
     (void)bias;
 
-    /* prologue 1/2: per-vector absmax -> scales (max(max, -min) / qmax) */
-    for (long long r = 0; r < rows; r++) {{
-        const {x} *xr = x + r * F;
-        {s} *svr = sv + r * NV;
-        for (long long v = 0; v < NV; v++) {{
-            long long base = v * V;
-            long long n = base + V <= F ? V : F - base;
-            {x} a = 0;
-            for (long long j = 0; j < n; j++) {{
-                {x} t = xr[base + j];
-                if (t > a) a = t;
-                if (-t > a) a = -t;
-            }}
-            {s} sa = ({s})a / ({s})AQMAX;
-            svr[v] = sa > {eps12} ? sa : {eps12};
-        }}
-    }}
+{pro.scales()}
 
-    /* coarse scale (gamma = max(smax / sqmax, 1e-30)) */
-{gamma_body}
+{pro.gamma()}
 
     /* prologue 2/2: fused quantize -> clamp -> scale-fold; the
        zero-padded tail of the last vector is written explicitly */
-    for (long long r = 0; r < rows; r++) {{
-        const {x} *xr = x + r * F;
-        const {s} *svr = sv + r * NV;
-        {s} g = {gx_row};
-        {xt} *dst = xf + r * C2;
-        for (long long v = 0; v < NV; v++) {{
-            {s} qs = {_rint(s)}(svr[v] / g);
-            if (qs < ({s})0) qs = ({s})0;
-            if (qs > ({s})ASQMAX) qs = ({s})ASQMAX;
-            long long base = v * V;
-            long long n = base + V <= F ? V : F - base;
-            {c} sc = ({c})svr[v];
-            for (long long j = 0; j < n; j++) {{
-                {c} cd = {_rint(c)}(({c})xr[base + j] / sc);
-                if (cd < ({c})AQMIN) cd = ({c})AQMIN;
-                if (cd > ({c})AQMAX) cd = ({c})AQMAX;
-                dst[base + j] = ({xt})(cd * ({c})qs);
-            }}
-            for (long long j = n; j < V; j++) dst[base + j] = 0;
-        }}
-    }}
+{fold}
 
     /* matmul: 4-row-blocked GEMM with fused epilogue */
     long long r0 = 0;
@@ -249,10 +383,10 @@ int repro_kernel(const void *x_, const void *wf_, const double *gw,
         {o} *o1 = out + (r0 + 1) * K;
         {o} *o2 = out + (r0 + 2) * K;
         {o} *o3 = out + (r0 + 3) * K;
-        const double g0 = (double)gamma[{gx_sample.replace("r /", "(r0 + 0) /")}];
-        const double g1 = (double)gamma[{gx_sample.replace("r /", "(r0 + 1) /")}];
-        const double g2 = (double)gamma[{gx_sample.replace("r /", "(r0 + 2) /")}];
-        const double g3 = (double)gamma[{gx_sample.replace("r /", "(r0 + 3) /")}];
+        const double g0 = (double)gamma[{gxb[0]}];
+        const double g1 = (double)gamma[{gxb[1]}];
+        const double g2 = (double)gamma[{gxb[2]}];
+        const double g3 = (double)gamma[{gxb[3]}];
         for (long long k = 0; k < K; k++) {{
             const {wt} *wk = wf + k * C2;
             {at} a0 = 0, a1 = 0, a2 = 0, a3 = 0;
@@ -271,7 +405,7 @@ int repro_kernel(const void *x_, const void *wf_, const double *gw,
     for (; r0 < rows; r0++) {{
         const {xt} *xr = xf + r0 * C2;
         {o} *or_ = out + r0 * K;
-        const double gr = (double)gamma[{gx_sample.replace("r /", "r0 /")}];
+        const double gr = (double)gamma[{pro.gamma_index("r0")}];
         for (long long k = 0; k < K; k++) {{
             const {wt} *wk = wf + k * C2;
             {at} a = 0;
@@ -284,6 +418,87 @@ int repro_kernel(const void *x_, const void *wf_, const double *gw,
     return 0;
 }}
 """
+
+
+@dataclass(frozen=True)
+class QuantizeSpec:
+    """Everything baked into a rendered fake-quantize kernel.
+
+    One element/scale C type (numpy's ``preserve`` policy computes a
+    float32 tensor's scales in float32), the integer formats, and the
+    coarse-scale grouping. Shapes are runtime arguments.
+    """
+
+    t: str                # element, scale and code C type: float | double
+    V: int
+    qmin: int
+    qmax: int
+    sqmax: int            # per-vector scale max (2**bits - 1)
+    per_sample: bool      # one gamma per leading index vs one per tensor
+
+    def __post_init__(self) -> None:
+        if self.t not in _CTYPES:
+            raise ValueError(f"t must be float/double, got {self.t!r}")
+        if self.V < 1:
+            raise ValueError(f"vector size must be >= 1, got {self.V}")
+
+
+def render_quantize(spec: QuantizeSpec) -> str:
+    """Lower a :class:`QuantizeSpec` to a C translation unit exporting::
+
+        int repro_quantize(const void *x, void *out,
+                           long long B, long long M, long long L, long long N);
+
+    It writes the two-level fake-quant ``code * (sq * gamma)`` (Eq. 7j)
+    of the C-contiguous ``(B, M, L, N)`` input to ``out`` (same shape,
+    C-contiguous). Returns 0, or 1 on scratch-allocation failure.
+    """
+    t = spec.t
+    pro = Prologue(x=t, s=t, c=t, V=spec.V, qmin=spec.qmin, qmax=spec.qmax,
+                   sqmax=spec.sqmax, per_sample=spec.per_sample,
+                   L="L", M="M", N="N")
+    flat = replace(pro, N="1")
+
+    def fakequant(cd: str, sq: str) -> str:
+        return f"{cd} * ({sq} * g)"  # numpy: xq * (sq * gamma)
+
+    def branch(contig: str, strided: str) -> str:
+        return (f"    if (N == 1) {{\n{_indent(contig)}\n    }} else {{\n"
+                f"{_indent(strided)}\n    }}")
+
+    dst = f"{t} *dst = out + r * L * N;"
+    return f"""\
+{_HEADER}
+{_defines(V=spec.V, QMIN=f"({spec.qmin})", QMAX=spec.qmax, SQMAX=spec.sqmax)}
+
+{_XMALLOC}
+
+int repro_quantize(const void *x_, void *out_,
+                   long long NB, long long M, long long L, long long N)
+{{
+    const {t} *x = (const {t} *)x_;
+    {t} *out = ({t} *)out_;
+    const long long rows = NB * M;
+    const long long NV = (L + V - 1) / V;
+    {t} *sv = ({t} *)xmalloc((size_t)(rows * NV * N) * sizeof({t}));
+    {t} *gamma = ({t} *)xmalloc((size_t)(NB > 0 ? NB : 1) * sizeof({t}));
+    {t} *qv = ({t} *)xmalloc((size_t)N * sizeof({t}));
+    if (!sv || !gamma || !qv) {{ free(sv); free(gamma); free(qv); return 1; }}
+
+{branch(flat.scales(), pro.scales())}
+
+{pro.gamma()}
+
+{branch(flat.codes(dst, fakequant), pro.codes(dst, fakequant))}
+
+    free(sv); free(gamma); free(qv);
+    return 0;
+}}
+"""
+
+
+def _indent(block: str, by: str = "    ") -> str:
+    return "\n".join(by + line if line else line for line in block.split("\n"))
 
 
 def source_fingerprint(source: str, toolchain: str) -> str:

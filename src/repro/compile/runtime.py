@@ -55,6 +55,7 @@ MAX_DISK_ENTRIES = 512
 _BASE_CFLAGS = ("-O3", "-shared", "-fPIC")
 
 KERNEL_ENTRY = "repro_kernel"
+QUANTIZE_ENTRY = "repro_quantize"
 
 
 class CompileError(RuntimeError):
@@ -238,9 +239,9 @@ class KernelCache:
         return root
 
     # -- compile + load ------------------------------------------------
-    def _load(self, so_path: Path, key: str):
+    def _load(self, so_path: Path, key: str, entry: str):
         lib = ctypes.CDLL(str(so_path))
-        fn = getattr(lib, KERNEL_ENTRY)
+        fn = getattr(lib, entry)
         fn.restype = ctypes.c_int
         self._libs[key] = lib
         return fn
@@ -271,8 +272,8 @@ class KernelCache:
         logger.debug("compiled kernel %s in %.1f ms", key, elapsed * 1e3)
         return so_path
 
-    def get(self, source: str):
-        """The compiled entry point for ``source`` (memoized)."""
+    def get(self, source: str, entry: str = KERNEL_ENTRY):
+        """The compiled ``entry`` symbol of ``source`` (memoized)."""
         tc = find_toolchain()
         if tc is None:
             raise CompileError("no working C compiler available")
@@ -286,7 +287,7 @@ class KernelCache:
             so_path = root / f"{key}.so"
             if so_path.exists():
                 try:
-                    fn = self._load(so_path, key)
+                    fn = self._load(so_path, key, entry)
                     self.disk_hits += 1
                     self._mem[key] = fn
                     return fn
@@ -294,7 +295,7 @@ class KernelCache:
                     # torn/foreign object: recompile over it
                     pass
             so_path = self._compile(source, tc, root, key)
-            fn = self._load(so_path, key)
+            fn = self._load(so_path, key, entry)
             self._mem[key] = fn
             return fn
 

@@ -14,14 +14,20 @@ execution backend (:mod:`repro.quant.backends`) that
    :mod:`repro.quant.integer_exec` (Eq. 5), applying the fp coarse scales
    and bias once per output.
 
-Backends are selected **per layer at runtime**: ``integer-prefolded``
-(weights scale-folded once at load; fused NCHW quantize+fold when channel
-vectors align) whenever no scale-product rounding is requested, plain
-``integer`` otherwise — both bitwise identical where they overlap, since
-they share the folded-GEMM kernels. Everything outside the GEMMs —
-BatchNorm, LayerNorm, softmax, residual adds, pooling — runs in floating
-point, exactly as the paper's accelerator leaves non-MAC work to higher
-precision.
+Backends are selected **once per model at load**: ``auto`` serves
+``compiled`` (fused C linear kernels over the ``integer-prefolded`` numpy
+path, :mod:`repro.compile`) when the C toolchain probe passes and
+``integer-prefolded`` (weights scale-folded once at load; fused NCHW
+quantize+fold when channel vectors align) otherwise. Scale-product
+rounding forces plain ``integer``. All of them are bitwise identical
+where they overlap. Under ``compiled`` the attention operands (q, k,
+probs, v) also quantize in one C kernel
+(:class:`~repro.compile.backend.CompiledQuantizer`), bitwise equal to
+the numpy :class:`~repro.quant.quantizer.Quantizer` the other backends
+keep.
+Everything outside the GEMMs — BatchNorm, LayerNorm, softmax, residual
+adds, pooling — runs in floating point, exactly as the paper's
+accelerator leaves non-MAC work to higher precision.
 
 Two serving-relevant knobs:
 
@@ -38,17 +44,23 @@ Two serving-relevant knobs:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from repro import nn
+from repro.compile.backend import CompiledQuantizer, operand_quantizer
 from repro.deploy.artifact import Artifact, ArtifactError, ArtifactLayer, load_artifact
 from repro.deploy.structure import StructureError, build_from_structure
-from repro.quant.backends import resolve_backend
-from repro.quant.plan import LayerQuantSpec
-from repro.quant.qlayers import QuantizedLayer, QuantMultiHeadAttention
+from repro.quant.backends import backend_available, resolve_backend
+from repro.quant.qlayers import (
+    QuantizedLayer,
+    QuantMultiHeadAttention,
+    attention_layers,
+    quant_layers,
+)
 from repro.quant.quantizer import Quantizer
 from repro.tensor.tensor import Tensor, no_grad
 
@@ -59,23 +71,22 @@ _INTEGER_KINDS = ("conv2d", "linear", "embedding")
 BACKEND_CHOICES = ("auto", "integer", "integer-prefolded", "compiled")
 
 
-def _pick_backend(
-    spec: LayerQuantSpec, scale_product_bits: int | None, requested: str = "auto"
-) -> str:
-    """Per-layer runtime backend choice.
+def _pick_backend(requested: str, scale_product_bits: int | None) -> str:
+    """The backend every quantized layer of the model runs.
 
-    Scale folding distributes the integer per-vector scales into the
-    codes, which is exactly what the rounding knob perturbs — so rounding
-    forces the unfolded ``integer`` backend regardless of the request;
-    otherwise an explicit request wins and ``"auto"`` takes the prefolded
-    numpy hot path (bitwise identical where both apply). ``requested``
-    is already availability-resolved by :func:`build_integer_model`.
+    ``auto`` serves the measured winner, ``compiled``, wherever the
+    toolchain probe passes and ``integer-prefolded`` silently otherwise;
+    an explicit request for an unavailable backend degrades with one
+    warning (:func:`resolve_backend`). Scale folding distributes the
+    integer per-vector scales into the codes, which is exactly what the
+    rounding knob perturbs — so rounding forces the unfolded ``integer``
+    backend regardless of the request.
     """
-    if scale_product_bits is not None:
-        return "integer"
-    if requested != "auto":
-        return requested
-    return "integer-prefolded"
+    if requested == "auto":
+        requested = "compiled" if backend_available("compiled") else "integer-prefolded"
+    else:
+        requested = resolve_backend(requested)
+    return "integer" if scale_product_bits is not None else requested
 
 
 def _make_integer_layer(
@@ -83,7 +94,7 @@ def _make_integer_layer(
     per_sample_scale: bool,
     scale_product_bits: int | None,
     out_dtype: type | None,
-    backend: str = "auto",
+    backend: str,
 ) -> nn.Module:
     if spec.kind not in _INTEGER_KINDS:
         raise ArtifactError(f"unknown layer kind {spec.kind!r} for {spec.name}")
@@ -91,7 +102,7 @@ def _make_integer_layer(
         spec.spec,
         bias=spec.bias,
         weight_q=spec.weight,
-        backend=_pick_backend(spec.spec, scale_product_bits, backend),
+        backend=backend,
         per_sample_scale=per_sample_scale,
         scale_product_bits=scale_product_bits,
         out_dtype=out_dtype,
@@ -99,7 +110,7 @@ def _make_integer_layer(
 
 
 def _make_attention_layer(
-    spec: ArtifactLayer, module: nn.Module, per_sample_scale: bool
+    spec: ArtifactLayer, module: nn.Module, per_sample_scale: bool, backend: str
 ) -> nn.Module:
     if not isinstance(module, nn.MultiHeadAttention):
         raise ArtifactError(
@@ -112,7 +123,9 @@ def _make_attention_layer(
             # Batch-invariant serving: one coarse gamma per sample (axis 0
             # of every attention operand), matching the conv/linear layers.
             op_spec = replace(op_spec, channel_axes=(0,))
-        quantizers[op_name] = Quantizer(op_spec)
+        quantizers[op_name] = (
+            operand_quantizer(op_spec) if backend == "compiled" else Quantizer(op_spec)
+        )
     return QuantMultiHeadAttention.from_float(module, spec.spec, quantizers)
 
 
@@ -132,12 +145,19 @@ def build_integer_model(
     precision — the integer accumulators stay exact — roughly halving the
     engine's memory traffic for serving.
 
+    Python scalars in the float glue take the tensor's dtype, so a
+    float32 engine's BatchNorm, LayerNorm, attention scores and residual
+    adds stay float32 too.
+
     ``backend`` selects the execution backend for every quantized layer:
-    ``"auto"`` (prefolded numpy), ``"integer"``, ``"integer-prefolded"``,
-    or ``"compiled"`` (fused C linear kernels). Requesting an unavailable
-    backend degrades to ``integer-prefolded`` with one process-wide warning
-    (:func:`repro.quant.backends.resolve_backend`); every choice is
-    bitwise identical where it applies, so the degradation is safe.
+    ``"auto"`` (``"compiled"`` when a C toolchain works, else
+    ``"integer-prefolded"``), ``"integer"``, ``"integer-prefolded"``, or
+    ``"compiled"`` (fused C linear kernels plus the C attention-operand
+    quantizer). Explicitly requesting an unavailable backend degrades to
+    ``integer-prefolded`` with one process-wide warning
+    (:func:`repro.quant.backends.resolve_backend`); ``"auto"`` degrades
+    silently. Every choice is bitwise identical where it applies, so the
+    degradation is safe. :attr:`IntegerEngine.backends` reports the picks.
     """
     if precision not in ("float64", "float32"):
         raise ValueError(f"precision must be float64 or float32, got {precision!r}")
@@ -145,8 +165,7 @@ def build_integer_model(
         raise ValueError(
             f"backend must be one of {BACKEND_CHOICES}, got {backend!r}"
         )
-    if backend != "auto":
-        backend = resolve_backend(backend)
+    backend = _pick_backend(backend, scale_product_bits)
     out_dtype = np.float32 if precision == "float32" else None
 
     if artifact.structure is None:
@@ -183,7 +202,7 @@ def build_integer_model(
     def factory(dotted: str, module: nn.Module) -> nn.Module:
         spec = by_name[dotted]
         if spec.kind == "attention":
-            return _make_attention_layer(spec, module, per_sample_scale)
+            return _make_attention_layer(spec, module, per_sample_scale, backend)
         return _make_integer_layer(
             spec, per_sample_scale, scale_product_bits, out_dtype, backend
         )
@@ -231,6 +250,27 @@ class IntegerEngine:
             backend=backend,
         )
         return cls(artifact, model)
+
+    @property
+    def backends(self) -> dict:
+        """What the model runs on, e.g. ``{"compiled": 27,
+        "attention_operands": "compiled"}`` for a full-coverage MiniBERT.
+
+        Quantized layers are counted per backend; ``attention_operands``
+        (present when the model has quantized attention) is
+        ``"compiled"``, ``"numpy"``, or ``"mixed"``.
+        """
+        summary: dict = dict(sorted(Counter(
+            layer.backend for _, layer in quant_layers(self.model)
+        ).items()))
+        paths = {
+            "compiled" if isinstance(q, CompiledQuantizer) else "numpy"
+            for _, attn in attention_layers(self.model)
+            for q in attn.operand_quantizers.values()
+        }
+        if paths:
+            summary["attention_operands"] = paths.pop() if len(paths) == 1 else "mixed"
+        return summary
 
     @property
     def manifest(self) -> dict:

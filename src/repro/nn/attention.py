@@ -64,7 +64,7 @@ class MultiHeadAttention(Module):
         scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(self.d_head))
         if mask is not None:
             bias = np.where(np.asarray(mask)[:, None, None, :], 0.0, -1e9)
-            scores = scores + Tensor(bias)
+            scores = scores + Tensor(bias.astype(scores.dtype, copy=False))
         attn = ops.softmax(scores, axis=-1)
         attn = self._operand("probs", self.attn_dropout(attn))
         ctx = attn @ self._operand("v", v)  # (B, H, T, Dh)

@@ -125,7 +125,7 @@ def resolve_backend(name: str) -> str:
 
     The degradation path for environments without a C toolchain: a model
     loaded with ``backend='compiled'`` serves on the numpy serving path
-    ``backend='auto'`` would pick — same results, numpy speed — and the
+    ``backend='auto'`` picks there — same results, numpy speed — and the
     process logs **one** warning total, not one per layer or per model.
     """
     backend = get_backend(name)

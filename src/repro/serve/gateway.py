@@ -806,6 +806,8 @@ def _stats_dict(entry: ModelEntry) -> dict:
         "swaps": list(entry.history),
         "health": pool_health(pool, entry.supervisor),
     }
+    if entry.backends is not None:
+        payload["backends"] = entry.backends
     if entry.autoscaler is not None:
         payload["autoscaler"] = entry.autoscaler.stats()
     if entry.supervisor is not None:

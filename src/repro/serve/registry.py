@@ -202,6 +202,9 @@ class ModelEntry:
     decode: Callable
     input_shape: tuple[int, ...] | None = None
     arch: dict = field(default_factory=dict)
+    #: per-layer backend counts + attention-operand path of an artifact
+    #: model (:attr:`repro.deploy.IntegerEngine.backends`); ``None`` otherwise
+    backends: dict | None = None
     loaded_unix: float = field(default_factory=time.time)
     autoscaler: Autoscaler | None = None
     supervisor: Supervisor | None = None
@@ -351,6 +354,7 @@ class ModelRegistry:
         decode: Callable | None = None,
         input_shape: tuple[int, ...] | None = None,
         arch: dict | None = None,
+        backends: dict | None = None,
         replicas: int = 1,
         routing: str = "least_loaded",
         start: bool = True,
@@ -391,6 +395,7 @@ class ModelRegistry:
             decode=decode or PAYLOAD_CODECS.get(task or "", _decode_image),
             input_shape=tuple(input_shape) if input_shape else None,
             arch=dict(arch or {}),
+            backends=backends,
         )
         if fault_plan is not None:
             fault_plan.bind(self.obs.events, model=name)
@@ -474,6 +479,7 @@ class ModelRegistry:
             task=engine.task,
             input_shape=tuple(input_shape) if input_shape else None,
             arch=dict(manifest_model.get("arch") or {}),
+            backends=engine.backends,
             replicas=replicas,
             routing=routing,
             start=start,
@@ -705,6 +711,7 @@ class ModelRegistry:
                 entry.decode = PAYLOAD_CODECS.get(task or "", _decode_image)
                 entry.input_shape = tuple(input_shape) if input_shape else None
                 entry.arch = arch
+                entry.backends = engine.backends
                 entry.loaded_unix = time.time()
             # The supervisor follows the new pool via pool_fn; its probe
             # payload must follow the new artifact's input metadata too.

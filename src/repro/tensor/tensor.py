@@ -195,8 +195,15 @@ class Tensor:
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
+    def _coerce(self, other) -> "Tensor":
+        """``other`` as a Tensor; a Python scalar takes this tensor's float
+        dtype (NumPy's weak-scalar rule), so float32 math stays float32."""
+        if type(other) in (int, float) and self.data.dtype.kind == "f":
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return as_tensor(other)
+
     def __add__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = self._coerce(other)
         out_data = self.data + other.data
 
         def backward(g: np.ndarray) -> None:
@@ -217,13 +224,13 @@ class Tensor:
         return Tensor._make(-self.data, (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-as_tensor(other))
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) + (-self)
+        return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = self._coerce(other)
         out_data = self.data * other.data
 
         def backward(g: np.ndarray) -> None:
@@ -237,7 +244,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = self._coerce(other)
         out_data = self.data / other.data
 
         def backward(g: np.ndarray) -> None:
@@ -251,7 +258,7 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other) / self
+        return self._coerce(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):

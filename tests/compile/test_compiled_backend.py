@@ -161,6 +161,44 @@ class TestContracts:
         assert y.dtype == y_int.dtype
         np.testing.assert_array_equal(y, y_int)
 
+    def test_auto_serves_compiled_when_the_probe_passes(self, rng, tmp_path):
+        if not compiler_available():
+            pytest.skip("no working C compiler on this host")
+        qmodel = _quantize(
+            nn.Sequential(nn.Linear(16, 8, rng=rng)),
+            PTQConfig.vs_quant(4, 4, weight_scale="4", act_scale="4"),
+            rng.standard_normal((4, 16)),
+        )
+        save_artifact(qmodel, tmp_path / "m", task="image")
+        engine = IntegerEngine.load(tmp_path / "m")
+        assert engine.backends == {"compiled": 1}
+        # scale-product rounding still forces the unfolded reference
+        rounded = IntegerEngine.load(tmp_path / "m", scale_product_bits=6)
+        assert rounded.backends == {"integer": 1}
+
+    def test_auto_without_toolchain_serves_prefolded_silently(
+        self, monkeypatch, rng, tmp_path, caplog
+    ):
+        from repro.quant import backends as backends_mod
+
+        qmodel = _quantize(
+            nn.Sequential(nn.Linear(16, 8, rng=rng)),
+            PTQConfig.vs_quant(4, 4, weight_scale="4", act_scale="4"),
+            rng.standard_normal((4, 16)),
+        )
+        save_artifact(qmodel, tmp_path / "m", task="image")
+        monkeypatch.setenv("CC", "/bin/false")
+        reset_compiler_probe()
+        monkeypatch.setattr(backends_mod, "_FALLBACK_WARNED", set())
+        try:
+            with caplog.at_level("DEBUG", logger="repro"):
+                engine = IntegerEngine.load(tmp_path / "m")
+                engine(rng.standard_normal((2, 16)))
+        finally:
+            reset_compiler_probe()
+        assert engine.backends == {"integer-prefolded": 1}
+        assert [r for r in caplog.records if r.name.startswith("repro.quant")] == []
+
     def test_available_backends_resolve_to_themselves(self):
         assert resolve_backend("integer") == "integer"
         assert resolve_backend("integer-prefolded") == "integer-prefolded"
@@ -252,6 +290,41 @@ class TestDirectedParity:
         assert backends == {"compiled"}
         assert y.dtype == y_int.dtype
         np.testing.assert_array_equal(y, y_int)
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_no_compile_inside_a_batched_request(
+        self, monkeypatch, rng, tmp_path, precision
+    ):
+        """A replica warmed at B=1 already holds every kernel a batched
+        request needs: the fused epilogue serves the per-sample kernel at
+        every B, and the unfused one builds both variants at first use."""
+        qmodel = _quantize(
+            nn.Sequential(nn.Linear(16, 12, rng=rng), nn.ReLU(), nn.Linear(12, 4, rng=rng)),
+            PTQConfig.vs_quant(4, 4, weight_scale="4", act_scale="4"),
+            rng.standard_normal((4, 5, 16)),
+        )
+        save_artifact(qmodel, tmp_path / "m", task="image")
+        x = rng.standard_normal((4, 5, 16))
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kc"))
+        reset_kernel_cache()
+        try:
+            engine = IntegerEngine.load(
+                tmp_path / "m", per_sample_scale=True, precision=precision,
+                backend="compiled",
+            )
+            solo = engine(x[:1])
+            warm = kernel_cache_stats()["misses"]
+            assert warm > 0
+            batched = engine(x)
+            assert kernel_cache_stats()["misses"] == warm
+        finally:
+            reset_kernel_cache()
+        reference = IntegerEngine.load(
+            tmp_path / "m", per_sample_scale=True, precision=precision,
+            backend="integer",
+        )
+        np.testing.assert_array_equal(solo, reference(x[:1]))
+        np.testing.assert_array_equal(batched, reference(x))
 
     def test_uncompilable_input_dtype_uses_numpy_path(self, rng):
         """A float16 input has no kernel; the numpy path then reads the

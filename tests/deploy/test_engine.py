@@ -78,7 +78,7 @@ class TestResNetEngine:
 
     def test_swapped_layer_types(self, resnet_pair):
         _, out = resnet_pair
-        engine = IntegerEngine.load(out)
+        engine = IntegerEngine.load(out, backend="integer-prefolded")
         kinds = {
             m.kind
             for _, m in engine.model.named_modules()
@@ -185,6 +185,72 @@ class TestBERTEngine:
         # The rebuilt topology keeps the model's task API (span decoding).
         ps, pe = engine.model.predict_spans(Tensor(engine(tokens, mask=mask)), mask)
         assert (pe >= ps).all()
+
+
+def _module_output_dtypes(engine, *args, **kwargs) -> dict[str, set[str]]:
+    """Run one forward and collect every module's output dtype by class
+    (plus each attention operand's, as ``operand:<name>``)."""
+    seen: dict[str, set[str]] = {}
+
+    def record(key, fn):
+        def wrapped(*a, **kw):
+            out = fn(*a, **kw)
+            seen.setdefault(key, set()).add(str(out.dtype))
+            return out
+        return wrapped
+
+    modules = [m for _, m in engine.model.named_modules()]
+    for m in modules:
+        object.__setattr__(m, "forward", record(type(m).__name__, m.forward))
+        if hasattr(m, "operand_quantizers"):
+            hook = m._operand
+            object.__setattr__(
+                m, "_operand",
+                lambda name, value, hook=hook: record(f"operand:{name}", hook)(name, value),
+            )
+    try:
+        engine(*args, **kwargs)
+    finally:
+        for m in modules:
+            m.__dict__.pop("forward", None)
+            m.__dict__.pop("_operand", None)
+    return seen
+
+
+class TestFloat32Glue:
+    """``precision="float32"`` keeps every module output float32: Python
+    scalars in the glue take the tensor's dtype, and the attention mask
+    bias is built in the scores' dtype. float64 engines stay float64."""
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_resnet_modules_keep_the_engine_dtype(self, rng, resnet_pair, precision):
+        _, out = resnet_pair
+        engine = IntegerEngine.load(out, precision=precision, per_sample_scale=True)
+        x = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
+        seen = _module_output_dtypes(engine, x)
+        assert {"BatchNorm2d", "BasicBlock", "QuantizedLayer"} <= set(seen)
+        assert set().union(*seen.values()) == {precision}
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_full_bert_modules_keep_the_engine_dtype(self, rng, tmp_path, precision):
+        model = MiniBERT(TINY_BERT, seed=0)
+        model.eval()
+        tokens = rng.integers(0, TINY_BERT.vocab_size, (4, TINY_BERT.max_seq_len))
+        mask = np.arange(TINY_BERT.max_seq_len)[None, :] < np.array([12, 5, 9, 7])[:, None]
+        config = PTQConfig.vs_quant(
+            4, 4, weight_scale="4", act_scale="4", embeddings=True, attention=True
+        )
+        qmodel = quantize_model(
+            model, config, calib_batches=[(tokens, mask)],
+            forward=lambda m, b: m(b[0], mask=b[1]),
+        )
+        save_artifact(qmodel, tmp_path / "bert", task="qa")
+        engine = IntegerEngine.load(
+            tmp_path / "bert", precision=precision, per_sample_scale=True
+        )
+        seen = _module_output_dtypes(engine, tokens, mask=mask)
+        assert {"LayerNorm", "QuantMultiHeadAttention", "operand:probs"} <= set(seen)
+        assert set().union(*seen.values()) == {precision}
 
 
 class TestTopologyGuards:

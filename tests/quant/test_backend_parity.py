@@ -94,7 +94,7 @@ class TestResNetMatrix:
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     def test_integer_equals_prefolded_bitwise(self, resnet_case, precision):
         _, out, x = resnet_case
-        engine = IntegerEngine.load(out, precision=precision)
+        engine = IntegerEngine.load(out, precision=precision, backend="integer-prefolded")
         assert {layer.backend for _, layer in quant_layers(engine.model)} == {
             "integer-prefolded"
         }

@@ -500,6 +500,18 @@ class TestGatewayHTTP:
         assert exc.value.status == 400
         assert client.unload("tiny")["unloaded"] == "tiny"
 
+    def test_stats_report_each_models_backend_picks(self, gateway, client, tiny_artifact):
+        from repro.compile import compiler_available
+        from repro.quant import quant_layers
+
+        path, engine = tiny_artifact
+        client.load("tiny", str(path))
+        stats = client.stats()["models"]
+        picked = "compiled" if compiler_available() else "integer-prefolded"
+        assert stats["tiny"]["backends"] == {picked: len(quant_layers(engine.model))}
+        assert stats["tiny"]["backends"] == engine.backends
+        assert "backends" not in stats["double"]  # a bare batch_fn has no layers
+
     def test_qa_tuple_payload_over_http(self, gateway, client):
         def spans(payloads):
             # payloads arrive as decoded (tokens, mask) tuples
