@@ -18,6 +18,10 @@ Outputs:
   by ``benchmarks/baselines/compiled_smoke.json`` (smoke floor >=5x; the
   full local run asserts the >=10x acceptance floor itself).
 
+A second row times the conv kernel the same way on a MiniResNet stage-1
+layer (16->16 channels, 3x3, 32x32, batch 8). It is reported, not
+gated: the offline-resnet workload of ``perfbench`` is the conv gate.
+
 Every timed run first asserts the compiled output is **bitwise equal**
 to the integer backend's — a fast kernel that drifts is a bug, not a
 win. Without a working C compiler the bench prints a skip notice and
@@ -49,6 +53,8 @@ FULL = {"rows": 8, "features": 4096, "floor": 10.0, "repeats": 7}
 #: Smoke mode: CI-sized (shared runners), conservative floor via the
 #: committed baseline (benchmarks/baselines/compiled_smoke.json).
 SMOKE = {"rows": 8, "features": 1024, "floor": 5.0, "repeats": 5}
+#: The conv row: one MiniResNet stage-1 conv on a batch of 8 images.
+CONV = {"batch": 8, "channels": 16, "hw": 32}
 
 
 def _best_time(fn, repeats: int = 5) -> float:
@@ -74,27 +80,45 @@ def _quantized_linear(features: int) -> tuple[nn.Module, np.ndarray]:
     return qmodel, batch
 
 
+def _quantized_conv() -> tuple[nn.Module, np.ndarray]:
+    rng = seeded_rng("compiled-bench-conv")
+    c, hw = CONV["channels"], CONV["hw"]
+    model = nn.Sequential(nn.Conv2d(c, c, 3, padding=1, bias=False, rng=rng))
+    model.eval()
+    batch = rng.standard_normal((CONV["batch"], c, hw, hw)).astype(np.float32)
+    config = PTQConfig.vs_quant(4, 4, weight_scale="4", act_scale="4")
+    qmodel = quantize_model(model, config, calib_batches=[(batch,)])
+    return qmodel, batch
+
+
 def _set_backend(qmodel, name: str) -> None:
     for _, layer in quant_layers(qmodel):
         layer.set_backend(name, per_sample_scale=True, out_dtype=np.float32)
 
 
-def measure(shape: dict) -> dict[str, float]:
-    rows, features = shape["rows"], shape["features"]
-    qmodel, batch = _quantized_linear(features)
-    x = batch[:rows]
-
+def _time_both(qmodel, x, repeats: int) -> tuple[float, float]:
+    """Best ``integer`` and ``compiled`` call times, after asserting the
+    two outputs are bitwise equal."""
     with no_grad():
         _set_backend(qmodel, "integer")
         y_int = qmodel(x).data
-        t_int = _best_time(lambda: qmodel(x), shape["repeats"])
+        t_int = _best_time(lambda: qmodel(x), repeats)
 
         _set_backend(qmodel, "compiled")
         y_c = qmodel(x).data  # warmup = compile + parity probe
         np.testing.assert_array_equal(
             y_c, y_int, err_msg="compiled output drifted from integer backend"
         )
-        t_c = _best_time(lambda: qmodel(x), shape["repeats"])
+        t_c = _best_time(lambda: qmodel(x), repeats)
+    return t_int, t_c
+
+
+def measure(shape: dict) -> dict[str, float]:
+    rows, features = shape["rows"], shape["features"]
+    qmodel, batch = _quantized_linear(features)
+    t_int, t_c = _time_both(qmodel, batch[:rows], shape["repeats"])
+    conv_model, conv_batch = _quantized_conv()
+    conv_int, conv_c = _time_both(conv_model, conv_batch, shape["repeats"])
 
     macs = rows * features * features
     cache = kernel_cache_stats()
@@ -106,6 +130,9 @@ def measure(shape: dict) -> dict[str, float]:
         "speedup": t_int / t_c,
         "compiled_gmacs": macs / t_c / 1e9,
         "integer_gmacs": macs / t_int / 1e9,
+        "conv_integer_ms": 1e3 * conv_int,
+        "conv_compiled_ms": 1e3 * conv_c,
+        "conv_speedup": conv_int / conv_c,
         "kernel_compiles": float(cache["compiles"]),
         "kernel_compile_s": cache["compile_s"],
     }
@@ -124,6 +151,12 @@ def build_report(smoke: bool = False) -> tuple[str, dict[str, float]]:
         f"  compiled (C)      {metrics['compiled_ms']:8.2f} ms/call "
         f"({metrics['compiled_gmacs']:6.2f} GMAC/s)",
         f"  speedup           {metrics['speedup']:8.2f}x",
+        f"conv {CONV['channels']}->{CONV['channels']} 3x3 on "
+        f"{CONV['batch']}x{CONV['channels']}x{CONV['hw']}x{CONV['hw']} "
+        f"(reported, not gated):",
+        f"  integer (numpy)   {metrics['conv_integer_ms']:8.2f} ms/call",
+        f"  compiled (C)      {metrics['conv_compiled_ms']:8.2f} ms/call",
+        f"  speedup           {metrics['conv_speedup']:8.2f}x",
         f"  compiler: {probe.get('compiler', '?')} "
         f"({int(metrics['kernel_compiles'])} kernels, "
         f"{metrics['kernel_compile_s']:.2f}s compile time)",

@@ -108,46 +108,66 @@ def _drive_rollout(
 ) -> dict:
     """Closed-loop clients over one tape; ``swap_fn`` fires mid-tape.
 
-    Returns per-request (sequence index, version) observations plus
-    failure counts. 429s retry (admission control is not a failure);
-    any other error counts as a failed request.
+    A client whose tape runs out before the swap completes keeps
+    re-sending it until the swap is done, then sends one more request,
+    so requests are in flight across the whole swap however fast the
+    model serves. Returns per-request (sequence index, version)
+    observations plus failure counts. 429s retry (admission control is
+    not a failure); any other error counts as a failed request.
     """
     slices = [payloads[i::clients] for i in range(clients)]
     lock = threading.Lock()
     observed: list[tuple[float, str]] = []
     failures: list[str] = []
     retries = [0] * clients
+    attempted = [0]
     halfway = threading.Event()
+    swap_done = threading.Event()
     done_before_swap = max(1, len(payloads) // 2)
-    completed = [0]
+
+    def send(client: GatewayClient, idx: int, p) -> bool:
+        with lock:
+            attempted[0] += 1
+        while True:
+            try:
+                body = client.predict(name, p, raw=True)
+                with lock:
+                    observed.append((time.perf_counter(), body["version"]))
+                    if len(observed) >= done_before_swap:
+                        halfway.set()
+                return True
+            except GatewayOverloaded:
+                retries[idx] += 1
+                time.sleep(0.002)
+            except Exception as exc:  # noqa: BLE001 - a rollout failure
+                with lock:
+                    failures.append(f"{type(exc).__name__}: {exc}")
+                    halfway.set()  # never deadlock the swap trigger
+                return False
 
     def run_client(idx: int) -> None:
         client = GatewayClient(url)
-        for p in slices[idx]:
-            while True:
-                try:
-                    body = client.predict(name, p, raw=True)
-                    with lock:
-                        observed.append((time.perf_counter(), body["version"]))
-                        completed[0] += 1
-                        if completed[0] >= done_before_swap:
-                            halfway.set()
-                    break
-                except GatewayOverloaded:
-                    retries[idx] += 1
-                    time.sleep(0.002)
-                except Exception as exc:  # noqa: BLE001 - a rollout failure
-                    with lock:
-                        failures.append(f"{type(exc).__name__}: {exc}")
-                        halfway.set()  # never deadlock the swap trigger
-                    break
+        tape = slices[idx]
+        if not all(send(client, idx, p) for p in tape):
+            return
+        if swap_done.is_set() or not tape:
+            return
+        k = 0
+        while not swap_done.is_set():
+            if not send(client, idx, tape[k % len(tape)]):
+                return
+            k += 1
+        send(client, idx, tape[k % len(tape)])
 
     threads = [threading.Thread(target=run_client, args=(i,)) for i in range(clients)]
     start = time.perf_counter()
     for t in threads:
         t.start()
     halfway.wait(timeout=120.0)
-    swap_report = swap_fn()
+    try:
+        swap_report = swap_fn()
+    finally:
+        swap_done.set()
     for t in threads:
         t.join()
     elapsed = time.perf_counter() - start
@@ -156,7 +176,7 @@ def _drive_rollout(
     for _ts, version in observed:
         versions[version] = versions.get(version, 0) + 1
     return {
-        "requests": len(payloads),
+        "requests": attempted[0],
         "completed": len(observed),
         "failed_requests": len(failures),
         "failure_samples": failures[:5],

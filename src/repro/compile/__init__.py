@@ -1,7 +1,7 @@
-"""Runtime-compiled kernel backend: quantized linear layers -> fused C via cc + ctypes.
+"""Runtime-compiled kernel backend: quantized layers -> fused C via cc + ctypes.
 
-Only linear layers compile; every other layer runs the numpy
-``integer-prefolded`` path it matches bitwise. A second kernel
+Linear and conv layers compile, each kind to one kernel; embeddings run
+the numpy ``integer-prefolded`` path they match bitwise. A third kernel
 fake-quantizes the attention operands of ``compiled`` engines
 (:class:`CompiledQuantizer`). See ``docs/compile.md``
 for why, the kernel, the C ABI, cache layout, and the graceful-fallback
@@ -12,9 +12,11 @@ either import order works).
 
 from .backend import CompiledBackend, CompiledQuantizer, operand_quantizer
 from .renderer import (
+    ConvSpec,
     KernelSpec,
     QuantizeSpec,
     render,
+    render_conv,
     render_quantize,
     source_fingerprint,
 )

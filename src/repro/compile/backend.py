@@ -1,30 +1,35 @@
-"""The ``compiled`` execution backend: fused C linear kernels via cc + ctypes.
+"""The ``compiled`` execution backend: fused C kernels via cc + ctypes.
 
 Subclasses :class:`~repro.quant.backends.PrefoldedBackend`, the numpy
-serving path, and replaces only the linear hot loop. Convolutions and
-embeddings run the inherited prefolded numpy path: on the zoo's
-MiniResNet a single-threaded direct-conv C loop lost to numpy's im2col
-GEMM at every batch size, so there is no compiled conv. For each linear
-layer the prepare step:
+serving path, and replaces the linear and conv hot loops; embeddings
+run the inherited prefolded numpy path. The prepare step:
 
 1. runs the inherited prefolded prepare (quantize weights, bias,
    formats, fold the weight codes once);
-2. narrows the folded weights to the kernel's dense integer matrix
-   (``int16``/``int32`` chosen from the format bounds — the fold
-   ``codes * sq`` is exact by construction). That matrix replaces the
-   float copy, so the layer keeps one folded weight array.
+2. re-lays the folded weights as the kernel's operand, which replaces
+   the numpy copy, so the layer keeps one folded weight array:
 
-At call time a dtype/shape :class:`KernelSpec` is rendered to C
-(:mod:`repro.compile.renderer`), compiled and memoized by the kernel
-cache (:mod:`repro.compile.runtime`), and invoked via ctypes on the raw
-array buffers.
+   - linear: the dense integer matrix ``(K, C2)``, ``int16``/``int32``
+     chosen from the format bounds (the fold ``codes * sq`` is exact by
+     construction);
+   - conv: ``(R, S, C, KP)`` in the layer's ``_code_dtype`` (float32
+     where every partial sum is an exact float32 integer, float64
+     otherwise), the tail vector's zero channels dropped and the output
+     channels padded to the kernel's register block.
+
+At call time a dtype :class:`KernelSpec` or :class:`ConvSpec` is
+rendered to C (:mod:`repro.compile.renderer`), compiled and memoized by
+the kernel cache (:mod:`repro.compile.runtime`), and invoked via ctypes
+on the raw array buffers. Conv geometry and formats are runtime
+arguments, so one conv kernel serves every conv layer with the same
+dtypes and flags.
 
 Parity contract: bitwise identical to the ``integer`` backend for every
-supported configuration. Linear configurations the renderer does not
-model (non-standard vector axes, non-float64 weight gammas from a
-forced compute-dtype policy, exotic input dtypes) silently run the
-inherited prefolded numpy path instead — identical results, just not
-compiled. A *missing compiler* is different: ``prepare`` raises
+supported configuration. Configurations the renderer does not model
+(non-standard vector axes, non-float64 weight gammas from a forced
+compute-dtype policy, exotic input dtypes) silently run the inherited
+prefolded numpy path instead — identical results, just not compiled.
+A *missing compiler* is different: ``prepare`` raises
 ``QuantBackendError`` so the engine-level ``resolve_backend`` fallback
 (one warning, then ``integer-prefolded``) is the only silent path, per
 the fallback contract in ``docs/compile.md``.
@@ -53,8 +58,23 @@ from repro.quant.quantizer import Quantizer, QuantSpec, ScaleKind
 from repro.tensor.tensor import Tensor
 from repro.utils.dtypes import resolve_dtype
 
-from .renderer import KernelSpec, QuantizeSpec, render, render_quantize
-from .runtime import QUANTIZE_ENTRY, compiler_available, compiler_probe, kernel_cache
+from .renderer import (
+    CONV_KB,
+    ConvSpec,
+    KernelSpec,
+    QuantizeSpec,
+    render,
+    render_conv,
+    render_quantize,
+)
+from .runtime import (
+    CONV_ENTRY,
+    KERNEL_ENTRY,
+    QUANTIZE_ENTRY,
+    compiler_available,
+    compiler_probe,
+    kernel_cache,
+)
 
 _INT32_MAX = 2**31 - 1
 _INT16_MAX = 2**15 - 1
@@ -86,8 +106,12 @@ def _operand_type(fold_max: int) -> str:
     return "int16_t" if fold_max <= _INT16_MAX else "int32_t"
 
 
+_LINEAR_ARGS = [ctypes.c_void_p] * 5 + [ctypes.c_longlong] * 2
+_CONV_ARGS = [ctypes.c_void_p] * 5 + [ctypes.c_longlong] * 13
+
+
 class CompiledBackend(PrefoldedBackend):
-    """Prefolded execution with linear layers lowered to fused C kernels."""
+    """Prefolded execution with linear and conv layers lowered to C kernels."""
 
     name = "compiled"
 
@@ -108,19 +132,17 @@ class CompiledBackend(PrefoldedBackend):
                 "automatically"
             )
         super().prepare(layer)
-        layer._compiled = self._plan(layer) if layer.spec.kind == "linear" else None
+        plan = {"linear": self._plan, "conv2d": self._plan_conv}.get(layer.spec.kind)
+        layer._compiled = plan(layer) if plan is not None else None
 
-    def _plan(self, layer) -> _CompiledState | None:
-        """Narrow ``layer._wf`` to the kernel's operand, or ``None``.
+    @staticmethod
+    def compiles(layer) -> bool:
+        """Whether ``layer`` holds a kernel plan (else it runs numpy)."""
+        return getattr(layer, "_compiled", None) is not None
 
-        ``None`` means "correct but not compilable as rendered": the
-        inherited prefolded implementation runs instead, so results
-        never change — only speed.
-        """
-        wq = layer.weight_q
-        if layer._act_layout.axis != -1:
-            return None
-        if np.asarray(wq.gamma).dtype != np.float64:
+    def _settings(self, layer) -> dict | None:
+        """The output-side settings both kernels share, or ``None``."""
+        if np.asarray(layer.weight_q.gamma).dtype != np.float64:
             # A forced compute-dtype policy produced low-precision weight
             # gammas; numpy's promotion rules then differ from the f64
             # epilogue the renderer emits.
@@ -131,60 +153,136 @@ class CompiledBackend(PrefoldedBackend):
         out_ct = _ctype(out_np)
         if out_ct is None:
             return None
+        bias = layer._bias_data
+        if bias is not None:
+            bias = np.ascontiguousarray(bias, dtype=out_np)
+        layer._gamma_w = np.ascontiguousarray(layer._gamma_w)
+        return dict(
+            bias=bias, out_np=out_np, out_ct=out_ct,
+            fused=layer.out_dtype is not None,
+            asqmax=2**layer._act_scale_fmt.bits - 1,
+        )
 
-        afmt, asf = layer._act_fmt, layer._act_scale_fmt
-        asqmax = 2**asf.bits - 1
-        wsqmax = 2**wq.scale_fmt.bits - 1
-        fold_x = afmt.qmax * asqmax
-        fold_w = wq.fmt.qmax * wsqmax
+    def _fold_bound(self, layer) -> int:
+        """Worst-case |partial sum| of the folded GEMM over ``_wf``."""
+        wq = layer.weight_q
+        fold_x = layer._act_fmt.qmax * (2**layer._act_scale_fmt.bits - 1)
+        fold_w = wq.fmt.qmax * (2**wq.scale_fmt.bits - 1)
         # Zero padding in the tail vector contributes nothing to the bound.
-        bound = fold_x * fold_w * layer._wf.shape[1]
-        if bound >= _EXACT_I64:
-            return None  # exact_gemm_dtype should have refused already
+        return fold_x * fold_w * layer._wf.shape[1]
 
-        xt = _operand_type(fold_x)
-        wt = _operand_type(fold_w)
+    def _plan(self, layer) -> _CompiledState | None:
+        """Narrow ``layer._wf`` to the kernel's operand, or ``None``.
+
+        ``None`` means "correct but not compilable as rendered": the
+        inherited prefolded implementation runs instead, so results
+        never change — only speed.
+        """
+        if layer._act_layout.axis != -1:
+            return None
+        settings = self._settings(layer)
+        bound = self._fold_bound(layer)
+        if settings is None or bound >= _EXACT_I64:
+            return None  # exact_gemm_dtype should have refused already
+        wq = layer.weight_q
+        xt = _operand_type(layer._act_fmt.qmax * settings["asqmax"])
+        wt = _operand_type(wq.fmt.qmax * (2**wq.scale_fmt.bits - 1))
         acct = "int32_t" if bound <= _INT32_MAX else "int64_t"
         layer._wf = np.ascontiguousarray(
             layer._wf, dtype=np.int16 if wt == "int16_t" else np.int32
         )
-        layer._gamma_w = np.ascontiguousarray(layer._gamma_w)
-        bias = layer._bias_data
-        if bias is not None:
-            bias = np.ascontiguousarray(bias, dtype=out_np)
-        return _CompiledState(
-            bias=bias, out_np=out_np, out_ct=out_ct,
-            fused=layer.out_dtype is not None,
-            xt=xt, wt=wt, acct=acct, asqmax=asqmax,
-        )
+        return _CompiledState(xt=xt, wt=wt, acct=acct, **settings)
+
+    def _plan_conv(self, layer) -> _CompiledState | None:
+        """Re-lay ``layer._wf`` as the conv kernel's ``(R, S, C, KP)``
+        operand, or ``None`` (see :meth:`_plan`).
+
+        The zero-padded channels of the tail vector are dropped (their
+        activation codes are zero too) and the output channels padded to
+        a whole register block. The operand type is the layer's
+        ``_code_dtype``: float32 where every partial sum is an exact
+        float32 integer, float64 otherwise.
+        """
+        if layer._act_layout.axis != 1:
+            return None
+        settings = self._settings(layer)
+        ct = _ctype(layer._code_dtype)
+        if settings is None or ct is None or self._fold_bound(layer) >= _EXACT_I64:
+            return None
+        K, R, S, nv, V = layer.weight_q.codes.shape
+        C = layer.in_channels
+        KP = -(-K // CONV_KB) * CONV_KB
+        wk = np.zeros((R, S, C, KP), dtype=layer._code_dtype)
+        wk[..., :K] = layer._wf.reshape(K, R, S, nv * V)[..., :C].transpose(1, 2, 3, 0)
+        layer._wf = wk
+        return _CompiledState(xt=ct, wt=ct, acct=ct, **settings)
+
+    def _conv_weights(self, layer) -> np.ndarray:
+        if not self.compiles(layer):
+            return layer._wf
+        # Undo _plan_conv's re-layout for the numpy path.
+        R, S, C, _ = layer._wf.shape
+        K, *_, nv, V = layer.weight_q.codes.shape
+        wf = np.zeros((K, R, S, nv * V), dtype=layer._wf.dtype)
+        wf[..., :C] = layer._wf[..., :K].transpose(3, 0, 1, 2)
+        return wf.reshape(K, -1)
 
     # -- kernel materialization -----------------------------------------
+    def _source(self, layer, state: _CompiledState, xin: str, sdt: str,
+                per_sample: bool) -> tuple[str, str, list]:
+        common = dict(
+            xin=xin, sdt=sdt, out=state.out_ct, fused=state.fused,
+            per_sample=per_sample, has_bias=state.bias is not None,
+        )
+        if layer.spec.kind == "conv2d":
+            return render_conv(ConvSpec(ct=state.xt, **common)), CONV_ENTRY, _CONV_ARGS
+        afmt = layer._act_fmt
+        spec = KernelSpec(
+            xt=state.xt, wt=state.wt, acct=state.acct,
+            F=layer.in_features, K=layer.out_features,
+            V=layer._act_layout.vector_size,
+            aqmin=int(afmt.qmin), aqmax=int(afmt.qmax), asqmax=state.asqmax,
+            **common,
+        )
+        return render(spec), KERNEL_ENTRY, _LINEAR_ARGS
+
     def _kernel(self, layer, state: _CompiledState, xin_np, sdt_np,
                 per_sample: bool):
         dtypes = (np.dtype(xin_np).char, np.dtype(sdt_np).char)
         fn = state.kernels.get((*dtypes, per_sample))
         if fn is not None:
             return fn
-        # The unfused per-sample layer serves both variants (run_linear):
+        # The unfused per-sample layer serves both variants (_epilogue_ps):
         # build them together so a request never waits on a compile that
         # warm-up at the other batch size did not trigger.
         unfused_ps = layer.per_sample_scale and not state.fused
-        afmt = layer._act_fmt
         for ps in (False, True) if unfused_ps else (per_sample,):
-            spec = KernelSpec(
-                xin=_ctype(xin_np), sdt=_ctype(sdt_np), out=state.out_ct,
-                fused=state.fused, per_sample=ps,
-                has_bias=state.bias is not None,
-                xt=state.xt, wt=state.wt, acct=state.acct,
-                F=layer.in_features, K=layer.out_features,
-                V=layer._act_layout.vector_size,
-                aqmin=int(afmt.qmin), aqmax=int(afmt.qmax), asqmax=state.asqmax,
+            source, entry, argtypes = self._source(
+                layer, state, _ctype(xin_np), _ctype(sdt_np), ps
             )
-            fn = kernel_cache().get(render(spec))
-            fn.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_longlong] * 2
+            fn = kernel_cache().get(source, entry=entry)
+            fn.argtypes = argtypes
             fn.restype = ctypes.c_int
             state.kernels[(*dtypes, ps)] = fn
         return state.kernels[(*dtypes, per_sample)]
+
+    @staticmethod
+    def _epilogue_ps(layer, state: _CompiledState, batch: int) -> bool:
+        """Whether a call of ``batch`` samples takes the per-sample kernel.
+
+        A per-sample gamma over one sample *is* the per-tensor gamma, so
+        the fused epilogue serves the per-sample kernel at every B. The
+        unfused numpy epilogue picks its multiply order by gamma size, so
+        there B == 1 must take the per-tensor kernel to stay bitwise equal.
+        """
+        return bool(layer.per_sample_scale) and (state.fused or batch > 1)
+
+    def _check(self, layer, rc: int) -> None:
+        if rc != 0:
+            raise QuantBackendError(
+                f"layer {layer.spec.name or '?'}: compiled kernel scratch "
+                "allocation failed"
+            )
 
     # -- execution -------------------------------------------------------
     def run_linear(self, layer, x) -> Tensor:
@@ -201,26 +299,50 @@ class CompiledBackend(PrefoldedBackend):
             return super().run_linear(layer, x)
         data = np.ascontiguousarray(data)
         B = data.shape[0]
-        # A per-sample gamma over one sample *is* the per-tensor gamma, so
-        # the fused epilogue serves the per-sample kernel at every B. The
-        # unfused numpy epilogue picks its multiply order by gamma size, so
-        # there B == 1 must take the per-tensor kernel to stay bitwise equal.
-        ps = bool(layer.per_sample_scale) and (state.fused or B > 1)
-        fn = self._kernel(layer, state, data.dtype, sdt, ps)
+        fn = self._kernel(layer, state, data.dtype, sdt, self._epilogue_ps(layer, state, B))
         out = np.empty(data.shape[:-1] + (layer.out_features,), dtype=state.out_np)
         T = int(np.prod(data.shape[1:-1], dtype=np.int64)) if data.ndim > 2 else 1
-        rc = fn(
+        self._check(layer, fn(
             data.ctypes.data, layer._wf.ctypes.data, layer._gamma_w.ctypes.data,
             state.bias.ctypes.data if state.bias is not None else None,
             out.ctypes.data, B, T,
-        )
-        if rc != 0:
-            raise QuantBackendError(
-                f"layer {layer.spec.name or '?'}: compiled kernel scratch "
-                "allocation failed"
-            )
+        ))
         rows = int(np.prod(out.shape[:-1]))
         layer.last_macs = rows * layer.in_features * layer.out_features
+        layer.last_output_shape = out.shape
+        return Tensor(out)
+
+    def run_conv2d(self, layer, x) -> Tensor:
+        state = layer._compiled
+        data = self._input_array(layer, x)
+        sdt = resolve_dtype(data)
+        R = S = layer.kernel_size
+        pad, stride = layer.padding, layer.stride
+        if (
+            state is None
+            or data.ndim != 4
+            or data.shape[1] != layer.in_channels
+            or min(data.shape[0], data.shape[2] + 2 * pad - R + 1,
+                   data.shape[3] + 2 * pad - S + 1) <= 0
+            or _ctype(data.dtype) is None
+            or _ctype(sdt) is None
+        ):
+            return super().run_conv2d(layer, x)
+        data = np.ascontiguousarray(data)
+        B, C, H, W = data.shape
+        K = layer.out_channels
+        P = (H + 2 * pad - R) // stride + 1
+        Q = (W + 2 * pad - S) // stride + 1
+        fn = self._kernel(layer, state, data.dtype, sdt, self._epilogue_ps(layer, state, B))
+        out = np.empty((B, K, P, Q), dtype=state.out_np)
+        afmt = layer._act_fmt
+        self._check(layer, fn(
+            data.ctypes.data, layer._wf.ctypes.data, layer._gamma_w.ctypes.data,
+            state.bias.ctypes.data if state.bias is not None else None,
+            out.ctypes.data, B, C, H, W, K, R, S, stride, pad,
+            layer._act_layout.vector_size, int(afmt.qmin), int(afmt.qmax), state.asqmax,
+        ))
+        layer.last_macs = B * K * P * Q * C * R * S
         layer.last_output_shape = out.shape
         return Tensor(out)
 

@@ -1,17 +1,19 @@
-"""C renderer: flat-loop kernels for quantized linear layers and operands.
+"""C renderer: flat-loop kernels for quantized layers and operands.
 
-Two kernels share one per-vector quantize prologue (:class:`Prologue`,
-the dynamic half of Eq. 7): :func:`render` lowers a linear layer and
-:func:`render_quantize` a standalone fake-quantizer for any activation
-(the attention operands).
+Three kernels share one per-vector quantize prologue (:class:`Prologue`,
+the dynamic half of Eq. 7): :func:`render` lowers a linear layer,
+:func:`render_conv` a conv layer, and :func:`render_quantize` a
+standalone fake-quantizer for any activation (the attention operands).
 
 Every layer the compiled backend lowers runs the same fixed pipeline::
 
     quantize -> clamp -> fold -> gemm -> scale [-> bias]
 
 so a :class:`KernelSpec` (dtypes, integer formats, baked geometry, the
-per-sample and bias flags) is the whole description of a kernel. The
-renderer emits one self-contained C translation unit exporting::
+per-sample and bias flags) is the whole description of a linear kernel,
+and a :class:`ConvSpec` (dtypes and flags only; geometry and formats are
+runtime arguments) of a conv kernel. The linear renderer emits one
+self-contained C translation unit exporting::
 
     int repro_kernel(const void *x, const void *wf, const double *gw,
                      const void *bias, void *out,
@@ -28,12 +30,12 @@ every floating-point rounding site replicates the eager pipeline
 exactly (same dtypes, same operation order, same ``rint`` half-to-even
 rounding, same epsilon clamps); the integer GEMM itself is exact in any
 order while the operand/accumulator bounds hold (checked by the backend
-before it selects the integer types in the spec). No ``-ffast-math``.
+before it selects the operand types in the spec). No ``-ffast-math``.
 
 The prologue (quantize/clamp/fold) is ONE pass over the input after the
-absmax reduction, and the epilogue (scale, bias) is emitted inside the
-GEMM's output write, so the accumulator is finished while still in a
-register.
+absmax reduction, and the coarse scales are applied inside the GEMM's
+output write, so the accumulator is finished while still in a register.
+The bias is added in a pass of its own (:func:`_bias_pass`).
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ _ACCUMULATORS = {"int32_t", "int64_t", "double"}
 
 
 @dataclass(frozen=True)
-class KernelSpec:
-    """Everything baked into a rendered linear kernel."""
+class _GemmSpec:
+    """What every GEMM kernel bakes in: the prologue's input and scale
+    types, and the epilogue's output type, order and bias flag."""
 
     xin: str              # input storage C type: float | double
     sdt: str              # scale compute C type (policy-resolved)
@@ -56,6 +59,27 @@ class KernelSpec:
     fused: bool           # fused low-precision epilogue vs f64 reference order
     per_sample: bool
     has_bias: bool
+
+    def __post_init__(self) -> None:
+        for name in ("xin", "sdt", "out"):
+            if getattr(self, name) not in _CTYPES:
+                raise ValueError(f"{name} must be float/double, got "
+                                 f"{getattr(self, name)!r}")
+
+    @property
+    def cdt(self) -> str:
+        """Code compute type: numpy's promote(input dtype, scale dtype)."""
+        return "double" if "double" in (self.xin, self.sdt) else "float"
+
+    def prologue(self, L: str, M: str, N: str = "1") -> "Prologue":
+        return Prologue(x=self.xin, s=self.sdt, c=self.cdt,
+                        per_sample=self.per_sample, L=L, M=M, N=N)
+
+
+@dataclass(frozen=True)
+class KernelSpec(_GemmSpec):
+    """Everything baked into a rendered linear kernel."""
+
     xt: str               # folded activation operand type
     wt: str               # folded weight operand type
     acct: str             # accumulator type
@@ -67,19 +91,11 @@ class KernelSpec:
     asqmax: int           # activation per-vector scale max (2**bits - 1)
 
     def __post_init__(self) -> None:
-        for name in ("xin", "sdt", "out"):
-            if getattr(self, name) not in _CTYPES:
-                raise ValueError(f"{name} must be float/double, got "
-                                 f"{getattr(self, name)!r}")
+        super().__post_init__()
         if self.xt not in _INT_OPERANDS or self.wt not in _INT_OPERANDS:
             raise ValueError(f"bad operand types {self.xt}/{self.wt}")
         if self.acct not in _ACCUMULATORS:
             raise ValueError(f"bad accumulator type {self.acct!r}")
-
-    @property
-    def cdt(self) -> str:
-        """Code compute type: numpy's promote(input dtype, scale dtype)."""
-        return "double" if "double" in (self.xin, self.sdt) else "float"
 
     @property
     def nv(self) -> int:
@@ -99,33 +115,50 @@ def _lit(value: str, ctype: str) -> str:
     return value if ctype == "double" else value + "f"
 
 
-def _epilogue(spec: KernelSpec, acc: str, gx: str, dst: str, indent: str,
+def _epilogue(spec: _GemmSpec, acc: str, gx: str, dst: str, indent: str,
               suffix: str = "") -> list[str]:
-    """Emit the fused GEMM epilogue for one output element.
+    """Emit the fused GEMM epilogue (the coarse scales) for one output.
 
     ``acc`` holds the exact integer accumulator, ``gx`` a ``double``
     holding the activation coarse scale for this sample, ``dst`` the
-    output lvalue. ``suffix`` uniquifies the locals inside the
-    row-blocked GEMM body.
+    output lvalue and ``gw[k]`` the weight coarse scale. ``suffix``
+    uniquifies the locals inside a register-blocked GEMM body. The bias
+    is not added here: see :func:`_bias_pass`.
     """
-    o = spec.out
-    sc, ov = f"sc{suffix}", f"ov{suffix}"
-    lines: list[str] = []
+    o, sc = spec.out, f"sc{suffix}"
     if spec.fused:
         # numpy: scale = (gamma_x * gamma_w).astype(out); out = acc * scale
         # (one low-precision multiply; the f64 product rounds to out first).
-        lines.append(f"{o} {sc} = ({o})({gx} * gw[k]);")
-        lines.append(f"{o} {ov} = ({o}){acc} * {sc};")
+        lines = [f"{o} {sc} = ({o})({gx} * gw[k]);",
+                 f"{dst} = ({o}){acc} * {sc};"]
     elif spec.per_sample:
         # numpy reference order: (acc_f64 * gamma_w) * gamma_x
-        lines.append(f"double {ov} = ((double){acc} * gw[k]) * {gx};")
+        lines = [f"{dst} = ((double){acc} * gw[k]) * {gx};"]
     else:
         # numpy reference order: (acc_f64 * gamma_x) * gamma_w
-        lines.append(f"double {ov} = ((double){acc} * {gx}) * gw[k];")
-    if spec.has_bias:
-        lines.append(f"{ov} += bias[k];")
-    lines.append(f"{dst} = {ov};")
+        lines = [f"{dst} = ((double){acc} * {gx}) * gw[k];"]
     return [indent + ln for ln in lines]
+
+
+def _bias_pass(spec: _GemmSpec, loops: tuple[tuple[str, str], ...], index: str,
+               indent: str) -> str:
+    """Add ``bias[k]`` to ``out[index]`` over the ``(variable, bound)``
+    ``loops`` (outermost first; one of them is ``k``).
+
+    numpy adds the bias to the already-rounded scaled output. Inside the
+    epilogue, ``ov = acc * sc; ov += b`` is contracted by ``-O3
+    -march=native`` into one fused multiply-add that rounds once, so the
+    add gets its own pass over the stored outputs (emitted right after a
+    block of them, while they are still in cache), which no compiler
+    contracts. The GEMM itself keeps its FMAs: its partial sums are
+    exact integers.
+    """
+    if not spec.has_bias:
+        return ""
+    lines = [f"{indent}{'    ' * d}for (long long {v} = 0; {v} < {n}; {v}++)"
+             for d, (v, n) in enumerate(loops)]
+    lines.append(f"{indent}{'    ' * len(loops)}out[{index}] += bias[k];")
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -145,7 +178,9 @@ class Prologue:
 
     ``L``/``M``/``N`` are C expressions (macros or runtime arguments);
     ``N == "1"`` emits contiguous-vector loops. The fragments read
-    ``x``, ``rows`` and ``NV`` and write the scratch arrays ``sv``
+    ``x``, ``rows``, ``NV`` and the formats ``V``, ``QMIN``, ``QMAX``
+    and ``SQMAX`` (macros or runtime values, like the shapes) and
+    write the scratch arrays ``sv``
     (``rows * NV * N`` scales), ``gamma`` (``B`` or 1) and, for strided
     vectors, ``qv`` (``N`` integer scales).
     """
@@ -153,10 +188,6 @@ class Prologue:
     x: str            # input C type
     s: str            # scale compute C type
     c: str            # code compute C type
-    V: int
-    qmin: int
-    qmax: int
-    sqmax: int
     per_sample: bool
     L: str
     M: str
@@ -207,9 +238,9 @@ class Prologue:
             for (long long j = 0; j < n; j++) {{
                 const {x} *xj = xr + (base + j) * N;
                 for (long long i = 0; i < N; i++) {{
-                    {s} t = ({s})xj[i];
-                    if (t > sr[i]) sr[i] = t;
-                    if (-t > sr[i]) sr[i] = -t;
+                    {s} t = ({s})xj[i], m = sr[i];
+                    m = t > m ? t : m;
+                    sr[i] = -t > m ? -t : m;
                 }}
             }}
             for (long long i = 0; i < N; i++) {{
@@ -260,15 +291,23 @@ class Prologue:
                 f"{indent}if (cd < ({c})QMIN) cd = ({c})QMIN;\n"
                 f"{indent}if (cd > ({c})QMAX) cd = ({c})QMAX;")
 
-    def codes(self, dst_row: str, store, pad: bool = False) -> str:
+    def codes(self, dst_row: str, store, pad: bool = False, index=None,
+              row: str | None = None) -> str:
         """Quantize every element; ``store(code, sq)`` is the C
         expression written to ``dst[...]``, where ``dst`` is the
         ``dst_row`` declaration's pointer (a row of ``rows``).
         ``pad`` zero-fills each vector's tail past ``L`` (honoured by
-        the contiguous loops, the only ones that need it)."""
+        the contiguous loops, the only ones that need it). ``index(l,
+        i)`` is the strided loops' ``dst`` index of element ``l`` along
+        ``L`` at position ``i`` along ``N`` (default: the input's own
+        layout). ``row`` quantizes that one row instead of all ``rows``.
+        """
         x, s, c = self.x, self.s, self.c
+        at = index or (lambda l, i: f"({l}) * N + {i}")
+        loop = ("for (long long r = 0; r < rows; r++) {" if row is None
+                else f"{{ const long long r = {row};")
         head = f"""\
-    for (long long r = 0; r < rows; r++) {{
+    {loop}
         const {x} *xr = x + r * {self._row_elems()};
         const {s} *svr = sv + r * {self._row_scales()};
         {s} g = gamma[{self.gamma_index("r")}];
@@ -297,10 +336,9 @@ class Prologue:
 {self._vector_bounds(" " * 12)}
             for (long long j = 0; j < n; j++) {{
                 const {x} *xj = xr + (base + j) * N;
-                long long o = (base + j) * N;
                 for (long long i = 0; i < N; i++) {{
 {self._code("xj[i]", f"({c})sr[i]", " " * 20)}
-                    dst[o + i] = {store("cd", "qv[i]")};
+                    dst[{at("base + j", "i")}] = {store("cd", "qv[i]")};
                 }}
             }}
 """
@@ -326,10 +364,7 @@ def render(spec: KernelSpec) -> str:
     """Lower a :class:`KernelSpec` to a C translation unit."""
     x, s, o, c = spec.xin, spec.sdt, spec.out, spec.cdt
     xt, wt, at = spec.xt, spec.wt, spec.acct
-    pro = Prologue(
-        x=x, s=s, c=c, V=spec.V, qmin=spec.aqmin, qmax=spec.aqmax,
-        sqmax=spec.asqmax, per_sample=spec.per_sample, L="F", M="NT",
-    )
+    pro = spec.prologue(L="F", M="NT")
     epi_blk = "\n".join(
         line
         for i in range(4)
@@ -401,6 +436,7 @@ int repro_kernel(const void *x_, const void *wf_, const double *gw,
 {epi_blk}
             }}
         }}
+{_bias_pass(spec, (("i", "4"), ("k", "K")), "(r0 + i) * K + k", "        ")}
     }}
     for (; r0 < rows; r0++) {{
         const {xt} *xr = xf + r0 * C2;
@@ -413,8 +449,172 @@ int repro_kernel(const void *x_, const void *wf_, const double *gw,
                 a += ({at})xr[f] * ({at})wk[f];
 {epi_tail}
         }}
+{_bias_pass(spec, (("k", "K"),), "r0 * K + k", "        ")}
     }}
     free(xf); free(sv); free(gamma);
+    return 0;
+}}
+"""
+
+
+#: Output channels per register block of the conv GEMM; the conv weight
+#: matrix is zero-padded to a multiple of it.
+CONV_KB = 16
+
+
+@dataclass(frozen=True)
+class ConvSpec(_GemmSpec):
+    """Everything baked into a rendered conv kernel. The geometry and the
+    activation formats are runtime arguments, so the conv layers of a
+    model that share dtypes and flags share one compiled kernel."""
+
+    ct: str               # folded operand and accumulator type: float | double
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.ct not in _CTYPES:
+            raise ValueError(f"ct must be float/double, got {self.ct!r}")
+
+
+def _conv_block(t: str, nw: int, epi: str) -> str:
+    """The conv GEMM over output channels ``k0..`` in blocks of ``nw *
+    KB``: each pass over the weights accumulates ``PB`` output pixels x
+    ``NA`` vectors of ``VL`` channels in registers."""
+    return f"""\
+        for (; k0 + {nw} * KB <= KP; k0 += {nw} * KB) {{
+            enum {{ NA = {nw} * KB / VL, PB = ACC_VECS / NA < 8 ? ACC_VECS / NA : 8 }};
+            const long long kn = K - k0 < {nw} * KB ? K - k0 : {nw} * KB;
+            for (long long p0 = 0; p0 < PQ; p0 += PB) {{
+                const long long pn = PQ - p0 < PB ? PQ - p0 : PB;
+                const {t} *xp[PB];
+                for (int j = 0; j < PB; j++)
+                    xp[j] = tile + win[p0 + (j < pn ? j : pn - 1)];
+                vec acc[PB][NA];
+                for (int j = 0; j < PB; j++)
+                    for (int i = 0; i < NA; i++) acc[j][i] = (vec){{0}};
+                for (long long r = 0; r < R; r++) {{
+                    const {t} *wr = wk + r * SC * KP + k0;
+                    const long long xo = r * Wp * C;
+                    for (long long e = 0; e < SC; e++) {{
+                        vec w[NA];
+                        for (int i = 0; i < NA; i++)
+                            w[i] = *(const uvec *)(wr + e * KP + i * VL);
+                        for (int j = 0; j < PB; j++) {{
+                            const {t} a = xp[j][xo + e];
+                            for (int i = 0; i < NA; i++) acc[j][i] += a * w[i];
+                        }}
+                    }}
+                }}
+                for (int kk = 0; kk < kn; kk++) {{
+                    const long long k = k0 + kk;
+                    for (int j = 0; j < pn; j++) {{
+{epi}
+                    }}
+                }}
+            }}
+        }}"""
+
+
+def render_conv(spec: ConvSpec) -> str:
+    """Lower a :class:`ConvSpec` to a C translation unit exporting::
+
+        int repro_conv(const void *x, const void *wk, const double *gw,
+                       const void *bias, void *out, long long B,
+                       long long C, long long H, long long W, long long K,
+                       long long R, long long S, long long stride,
+                       long long pad, long long V, long long qmin,
+                       long long qmax, long long sqmax);
+
+    ``x`` is the C-contiguous NCHW input, ``wk`` the folded weights
+    laid out ``(R, S, C, KP)`` with ``KP`` the output channels rounded
+    up to :data:`CONV_KB` (zero columns), ``gw``/``bias`` as in
+    :func:`render`, and ``out`` the C-contiguous ``(B, K, P, Q)`` output.
+    ``V``/``qmin``/``qmax``/``sqmax`` are the activation vector size,
+    code bounds and per-vector scale max. Returns 0, or 1 on
+    scratch-allocation failure.
+
+    Per sample, the prologue writes the folded codes ``codes * sq`` into
+    a zero-padded NHWC tile, so the GEMM reads each window row's
+    ``S * C`` inputs contiguously (an implicit im2col: the patch matrix
+    is never built) and accumulates a register block of ``PB`` output
+    pixels x ``KB`` or ``2 * KB`` output channels per pass over the
+    weights (:func:`_conv_block`).
+    """
+    o, c, t = spec.out, spec.cdt, spec.ct
+    pro = spec.prologue(L="C", M="1", N="N")
+    fold = pro.codes(
+        f"{t} *dst = tile;",
+        lambda cd, qs: f"({t})({cd} * ({c}){qs})",
+        index=lambda l, i: f"pix[{i}] + {l}",
+        row="b",
+    )
+    epi = "\n".join(_epilogue(spec, "acc[j][kk / VL][kk % VL]", "gx",
+                              "out[k * PQ + p0 + j]", " " * 24))
+    return f"""\
+{_HEADER}
+{_defines(KB=CONV_KB)}
+/* 64-byte vectors of VL lanes; the accumulators may take half the
+   vector register file (ACC_VECS of them) */
+#define VL (64 / (int)sizeof({t}))
+#if defined(__AVX512F__)
+#define ACC_VECS 16
+#else
+#define ACC_VECS 4
+#endif
+typedef {t} vec __attribute__((vector_size(64)));
+typedef {t} uvec __attribute__((vector_size(64), aligned(sizeof({t}))));
+
+int repro_conv(const void *x_, const void *wk_, const double *gw,
+               const void *bias_, void *out_,
+               long long NB, long long C, long long H, long long W,
+               long long K, long long R, long long S,
+               long long stride, long long pad,
+               long long V, long long QMIN, long long QMAX, long long SQMAX)
+{{
+    const {spec.xin} *x = (const {spec.xin} *)x_;
+    const {t} *wk = (const {t} *)wk_;
+    const {o} *bias = (const {o} *)bias_;
+    {o} *out_all = ({o} *)out_;
+    const long long N = H * W, rows = NB, NV = (C + V - 1) / V;
+    const long long Hp = H + 2 * pad, Wp = W + 2 * pad;
+    const long long P = (Hp - R) / stride + 1, Q = (Wp - S) / stride + 1;
+    const long long PQ = P * Q, KP = (K + KB - 1) / KB * KB, SC = S * C;
+    {spec.sdt} *sv = malloc((size_t)(rows * NV * N + 1) * sizeof({spec.sdt}));
+    {spec.sdt} *gamma = malloc((size_t)(NB + 1) * sizeof({spec.sdt}));
+    {spec.sdt} *qv = malloc((size_t)(N + 1) * sizeof({spec.sdt}));
+    {t} *tile = calloc((size_t)(Hp * Wp * C + 1), sizeof({t}));
+    long long *pix = malloc((size_t)(N + 1) * sizeof(long long));
+    long long *win = malloc((size_t)(PQ + 1) * sizeof(long long));
+    if (!sv || !gamma || !qv || !tile || !pix || !win) {{
+        free(sv); free(gamma); free(qv); free(tile); free(pix); free(win);
+        return 1;
+    }}
+    (void)bias;
+    /* tile offsets: input pixel i, and the window origin of output pixel i */
+    for (long long h = 0; h < H; h++)
+        for (long long w = 0; w < W; w++)
+            pix[h * W + w] = ((h + pad) * Wp + w + pad) * C;
+    for (long long p = 0; p < P; p++)
+        for (long long q = 0; q < Q; q++)
+            win[p * Q + q] = (p * stride * Wp + q * stride) * C;
+
+    /* the whole batch's scales and gammas first (per-tensor gamma needs
+       every sample), then one sample at a time through the tile */
+{pro.scales()}
+
+{pro.gamma()}
+
+    for (long long b = 0; b < NB; b++) {{
+        /* folded codes into the tile interior; its border stays zero */
+{_indent(fold)}
+        const double gx = (double)gamma[{pro.gamma_index("b")}];
+        {o} *out = out_all + b * K * PQ;
+        long long k0 = 0;
+{_conv_block(t, 2, epi)}
+{_conv_block(t, 1, epi)}
+{_bias_pass(spec, (("k", "K"), ("i", "PQ")), "k * PQ + i", "        ")}
+    }}
+    free(sv); free(gamma); free(qv); free(tile); free(pix); free(win);
     return 0;
 }}
 """
@@ -454,9 +654,7 @@ def render_quantize(spec: QuantizeSpec) -> str:
     C-contiguous). Returns 0, or 1 on scratch-allocation failure.
     """
     t = spec.t
-    pro = Prologue(x=t, s=t, c=t, V=spec.V, qmin=spec.qmin, qmax=spec.qmax,
-                   sqmax=spec.sqmax, per_sample=spec.per_sample,
-                   L="L", M="M", N="N")
+    pro = Prologue(x=t, s=t, c=t, per_sample=spec.per_sample, L="L", M="M", N="N")
     flat = replace(pro, N="1")
 
     def fakequant(cd: str, sq: str) -> str:

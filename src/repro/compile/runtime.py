@@ -56,6 +56,7 @@ _BASE_CFLAGS = ("-O3", "-shared", "-fPIC")
 
 KERNEL_ENTRY = "repro_kernel"
 QUANTIZE_ENTRY = "repro_quantize"
+CONV_ENTRY = "repro_conv"
 
 
 class CompileError(RuntimeError):

@@ -15,8 +15,9 @@ execution backend (:mod:`repro.quant.backends`) that
    and bias once per output.
 
 Backends are selected **once per model at load**: ``auto`` serves
-``compiled`` (fused C linear kernels over the ``integer-prefolded`` numpy
-path, :mod:`repro.compile`) when the C toolchain probe passes and
+``compiled`` (fused C linear and conv kernels over the
+``integer-prefolded`` numpy path, :mod:`repro.compile`) when the C
+toolchain probe passes and
 ``integer-prefolded`` (weights scale-folded once at load; fused NCHW
 quantize+fold when channel vectors align) otherwise. Scale-product
 rounding forces plain ``integer``. All of them are bitwise identical
@@ -51,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import nn
-from repro.compile.backend import CompiledQuantizer, operand_quantizer
+from repro.compile.backend import CompiledBackend, CompiledQuantizer, operand_quantizer
 from repro.deploy.artifact import Artifact, ArtifactError, ArtifactLayer, load_artifact
 from repro.deploy.structure import StructureError, build_from_structure
 from repro.quant.backends import backend_available, resolve_backend
@@ -152,8 +153,8 @@ def build_integer_model(
     ``backend`` selects the execution backend for every quantized layer:
     ``"auto"`` (``"compiled"`` when a C toolchain works, else
     ``"integer-prefolded"``), ``"integer"``, ``"integer-prefolded"``, or
-    ``"compiled"`` (fused C linear kernels plus the C attention-operand
-    quantizer). Explicitly requesting an unavailable backend degrades to
+    ``"compiled"`` (fused C linear and conv kernels plus the C
+    attention-operand quantizer). Explicitly requesting an unavailable backend degrades to
     ``integer-prefolded`` with one process-wide warning
     (:func:`repro.quant.backends.resolve_backend`); ``"auto"`` degrades
     silently. Every choice is bitwise identical where it applies, so the
@@ -217,6 +218,12 @@ def build_integer_model(
     return model
 
 
+def _executed_backend(layer: QuantizedLayer) -> str:
+    if layer.backend == "compiled" and not CompiledBackend.compiles(layer):
+        return "integer-prefolded"
+    return layer.backend
+
+
 class IntegerEngine:
     """A loaded artifact plus its runnable integer model.
 
@@ -253,15 +260,19 @@ class IntegerEngine:
 
     @property
     def backends(self) -> dict:
-        """What the model runs on, e.g. ``{"compiled": 27,
-        "attention_operands": "compiled"}`` for a full-coverage MiniBERT.
+        """What the model runs on, e.g. ``{"compiled": 25,
+        "integer-prefolded": 2, "attention_operands": "compiled"}`` for a
+        full-coverage MiniBERT, whose two embedding gathers have no kernel.
 
-        Quantized layers are counted per backend; ``attention_operands``
-        (present when the model has quantized attention) is
-        ``"compiled"``, ``"numpy"``, or ``"mixed"``.
+        Quantized layers are counted by the path they execute: a
+        ``compiled`` layer counts as ``compiled`` only when it holds a
+        kernel plan, and as ``integer-prefolded`` (the numpy path it then
+        runs) otherwise. ``attention_operands`` (present when the model
+        has quantized attention) is ``"compiled"``, ``"numpy"``, or
+        ``"mixed"``.
         """
         summary: dict = dict(sorted(Counter(
-            layer.backend for _, layer in quant_layers(self.model)
+            _executed_backend(layer) for _, layer in quant_layers(self.model)
         ).items()))
         paths = {
             "compiled" if isinstance(q, CompiledQuantizer) else "numpy"

@@ -2,7 +2,7 @@
 
 A :class:`repro.quant.qlayers.QuantizedLayer` owns *what* to quantize (its
 :class:`~repro.quant.plan.LayerQuantSpec` + quantizers); an
-:class:`ExecutionBackend` owns *how* the layer computes. Three ship:
+:class:`ExecutionBackend` owns *how* the layer computes. Four ship:
 
 ``fakequant``
     Simulated quantization in floating point (the PTQ/QAT path): quantize
@@ -20,10 +20,11 @@ A :class:`repro.quant.qlayers.QuantizedLayer` owns *what* to quantize (its
     identical to ``integer`` with ``scale_product_bits=None`` (both run
     the same :func:`~repro.quant.integer_exec.integer_*_folded` tail).
 ``compiled``
-    ``integer-prefolded`` with each linear layer's quantize/GEMM/epilogue
-    pipeline lowered to one fused C kernel, compiled at runtime with the
-    system ``cc`` and loaded via ctypes (:mod:`repro.compile`); other
-    layer kinds run the prefolded numpy path. Bitwise identical to
+    ``integer-prefolded`` with each linear and conv layer's
+    quantize/GEMM/epilogue pipeline lowered to one fused C kernel,
+    compiled at runtime with the system ``cc`` and loaded via ctypes
+    (:mod:`repro.compile`); embeddings run the prefolded numpy path.
+    Bitwise identical to
     ``integer`` with ``scale_product_bits=None``; registers as
     *unavailable* when no working compiler is present (see
     :func:`resolve_backend`).
@@ -378,6 +379,10 @@ class PrefoldedBackend(IntegerBackend):
         layer.last_macs = rows * layer.in_features * layer.out_features
         return self._finish(layer, out, conv=False)
 
+    def _conv_weights(self, layer) -> np.ndarray:
+        """The folded ``(K, R*S*C2)`` conv weights the numpy GEMM reads."""
+        return layer._wf
+
     def run_conv2d(self, layer, x) -> Tensor:
         if layer._fused_nchw:
             data = self._input_array(layer, x)
@@ -399,7 +404,7 @@ class PrefoldedBackend(IntegerBackend):
         out = integer_conv2d_folded(
             xf,
             gamma_x,
-            layer._wf,
+            self._conv_weights(layer),
             layer._gamma_w,
             layer.kernel_size,
             layer.stride,

@@ -428,19 +428,6 @@ class Supervisor:
         """This supervisor's actions, oldest first (bus-backed)."""
         return self._bus.events(source="supervisor", model=self.name or None)
 
-    def replica_states(self) -> list[dict]:
-        """Per-replica health as last judged (supervisor view)."""
-        return [
-            {
-                "slot": rec.server.slot,
-                "state": rec.state,
-                "strikes": rec.strikes,
-                "alive": rec.server.alive,
-                "last_error": rec.last_error,
-            }
-            for rec in list(self._records.values())
-        ]
-
     def stats(self, *, tail: int = 20) -> dict:
         """JSON-ready snapshot for ``/stats`` and ``/healthz``."""
         events = self.events()[-tail:] if tail > 0 else []
