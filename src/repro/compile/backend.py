@@ -57,6 +57,7 @@ from repro.quant.granularity import Granularity
 from repro.quant.quantizer import Quantizer, QuantSpec, ScaleKind
 from repro.tensor.tensor import Tensor
 from repro.utils.dtypes import resolve_dtype
+from repro.utils.parallel import split_samples
 
 from .renderer import (
     CONV_KB,
@@ -285,6 +286,16 @@ class CompiledBackend(PrefoldedBackend):
             )
 
     # -- execution -------------------------------------------------------
+    @staticmethod
+    def _run_samples(layer, run, batch: int) -> None:
+        """``run(lo, hi)`` over the batch: split across CPUs when every
+        sample has its own gamma (a per-tensor gamma spans the batch).
+        The kernel variant was already picked from the whole batch."""
+        if layer.per_sample_scale:
+            split_samples(run, batch)
+        else:
+            run(0, batch)
+
     def run_linear(self, layer, x) -> Tensor:
         state = layer._compiled
         data = self._input_array(layer, x)
@@ -302,11 +313,15 @@ class CompiledBackend(PrefoldedBackend):
         fn = self._kernel(layer, state, data.dtype, sdt, self._epilogue_ps(layer, state, B))
         out = np.empty(data.shape[:-1] + (layer.out_features,), dtype=state.out_np)
         T = int(np.prod(data.shape[1:-1], dtype=np.int64)) if data.ndim > 2 else 1
-        self._check(layer, fn(
-            data.ctypes.data, layer._wf.ctypes.data, layer._gamma_w.ctypes.data,
-            state.bias.ctypes.data if state.bias is not None else None,
-            out.ctypes.data, B, T,
-        ))
+
+        def run(lo: int, hi: int) -> None:
+            self._check(layer, fn(
+                data[lo:hi].ctypes.data, layer._wf.ctypes.data, layer._gamma_w.ctypes.data,
+                state.bias.ctypes.data if state.bias is not None else None,
+                out[lo:hi].ctypes.data, hi - lo, T,
+            ))
+
+        self._run_samples(layer, run, B)
         rows = int(np.prod(out.shape[:-1]))
         layer.last_macs = rows * layer.in_features * layer.out_features
         layer.last_output_shape = out.shape
@@ -336,12 +351,16 @@ class CompiledBackend(PrefoldedBackend):
         fn = self._kernel(layer, state, data.dtype, sdt, self._epilogue_ps(layer, state, B))
         out = np.empty((B, K, P, Q), dtype=state.out_np)
         afmt = layer._act_fmt
-        self._check(layer, fn(
-            data.ctypes.data, layer._wf.ctypes.data, layer._gamma_w.ctypes.data,
-            state.bias.ctypes.data if state.bias is not None else None,
-            out.ctypes.data, B, C, H, W, K, R, S, stride, pad,
-            layer._act_layout.vector_size, int(afmt.qmin), int(afmt.qmax), state.asqmax,
-        ))
+
+        def run(lo: int, hi: int) -> None:
+            self._check(layer, fn(
+                data[lo:hi].ctypes.data, layer._wf.ctypes.data, layer._gamma_w.ctypes.data,
+                state.bias.ctypes.data if state.bias is not None else None,
+                out[lo:hi].ctypes.data, hi - lo, C, H, W, K, R, S, stride, pad,
+                layer._act_layout.vector_size, int(afmt.qmin), int(afmt.qmax), state.asqmax,
+            ))
+
+        self._run_samples(layer, run, B)
         layer.last_macs = B * K * P * Q * C * R * S
         layer.last_output_shape = out.shape
         return Tensor(out)
@@ -420,12 +439,17 @@ class CompiledQuantizer(Quantizer):
         x = np.ascontiguousarray(x)
         out = np.empty(x.shape, dtype=x.dtype)
         shape = x.shape
-        rc = self._kernel(ct)(
-            x.ctypes.data, out.ctypes.data, shape[0],
-            math.prod(shape[1:axis]), shape[axis], math.prod(shape[axis + 1 :]),
-        )
-        if rc != 0:
-            raise QuantBackendError("compiled quantize kernel scratch allocation failed")
+        fn = self._kernel(ct)
+        M, L, N = math.prod(shape[1:axis]), shape[axis], math.prod(shape[axis + 1 :])
+
+        def run(lo: int, hi: int) -> None:
+            if fn(x[lo:hi].ctypes.data, out[lo:hi].ctypes.data, hi - lo, M, L, N) != 0:
+                raise QuantBackendError("compiled quantize kernel scratch allocation failed")
+
+        if tuple(self.spec.channel_axes) == (0,):  # a gamma per sample
+            split_samples(run, shape[0])
+        else:
+            run(0, shape[0])
         return out
 
     def __getstate__(self) -> dict:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Module, Parameter
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, as_tensor, is_grad_enabled
+from repro.utils.parallel import map_samples
 
 
 class BatchNorm2d(Module):
@@ -55,6 +56,16 @@ class BatchNorm2d(Module):
         shift = self.bias.reshape(1, -1, 1, 1) - Tensor(
             self.running_mean.reshape(1, -1, 1, 1)
         ) * scale
+        if not is_grad_enabled():
+            s, b = scale.data, shift.data
+
+            def affine(xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+                # The product goes straight into ``out`` when it has the
+                # product's dtype, so a split range allocates nothing.
+                inplace = out is not None and out.dtype == np.result_type(xs, s)
+                return np.add(np.multiply(xs, s, out=out if inplace else None), b, out=out)
+
+            return Tensor(map_samples(affine, as_tensor(x).data))
         return x * scale + shift
 
 
@@ -69,7 +80,22 @@ class LayerNorm(Module):
         self.bias = Parameter(np.zeros(normalized_shape))
 
     def forward(self, x: Tensor) -> Tensor:
+        if not is_grad_enabled():
+            data = as_tensor(x).data
+            if data.ndim > 1:  # axis 0 is then never the normalized axis
+                return Tensor(map_samples(self._normalize, data))
+            return Tensor(self._normalize(data))
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
         normed = (x - mean) * (var + self.eps) ** -0.5
         return normed * self.weight + self.bias
+
+    def _normalize(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The inference forward on arrays: the Tensor path's numpy
+        operations, with the mean and ``x - mean`` computed once."""
+        inv_n = 1.0 / x.shape[-1]
+        mean = x.sum(axis=-1, keepdims=True) * inv_n
+        centered = x - mean
+        var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+        normed = centered * (var + self.eps) ** -0.5
+        return np.add(normed * self.weight.data, self.bias.data, out=out)

@@ -16,6 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from repro.tensor.tensor import Tensor, as_tensor, is_grad_enabled, unbroadcast
+from repro.utils.parallel import map_samples
 
 __all__ = [
     "matmul",
@@ -106,10 +107,21 @@ def relu(x) -> Tensor:
     return _unary(x, out, (x.data > 0).astype(x.data.dtype))
 
 
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + special.erf(x / _SQRT_2))
+
+
+def _gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.multiply(x, _gelu_cdf(x), out=out)
+
+
 def gelu(x) -> Tensor:
     """Exact GELU: ``0.5 x (1 + erf(x / sqrt(2)))``."""
     x = as_tensor(x)
-    cdf = 0.5 * (1.0 + special.erf(x.data / _SQRT_2))
+    if not is_grad_enabled():
+        # Inference: no derivative, and the batch splits across CPUs.
+        return Tensor._make(map_samples(_gelu, x.data), (x,), None)
+    cdf = _gelu_cdf(x.data)
     out = x.data * cdf
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data**2)
     return _unary(x, out, cdf + x.data * pdf)
@@ -164,11 +176,19 @@ def where(cond, a, b) -> Tensor:
 # ----------------------------------------------------------------------
 # normalizers
 # ----------------------------------------------------------------------
+def _softmax(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return np.divide(e, e.sum(axis=axis, keepdims=True), out=out)
+
+
 def softmax(x, axis: int = -1) -> Tensor:
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    if not is_grad_enabled() and x.ndim and axis % x.ndim:
+        # Inference over a non-batch axis: the batch splits across CPUs.
+        out = map_samples(lambda xs, out=None: _softmax(xs, axis, out), x.data)
+        return Tensor._make(out, (x,), None)
+    out = _softmax(x.data, axis)
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
