@@ -994,8 +994,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=BACKEND_CHOICES,
         default=os.environ.get("REPRO_BACKEND", "auto"),
         help="execution backend for quantized layers (default: $REPRO_BACKEND or "
-             "'auto' = 'compiled' with a C toolchain, else 'integer-prefolded'; an "
-             "unavailable explicit backend falls back to 'integer-prefolded' with a warning)")
+             "'auto' = 'compiled' with a C toolchain, else 'integer'; an "
+             "unavailable explicit backend falls back to 'integer' with a warning)")
 
     p = sub.add_parser("serve", parents=[serve_common],
                        help="serve synthetic traffic through the integer engine")
@@ -1056,8 +1056,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=BACKEND_CHOICES,
         default=os.environ.get("REPRO_BACKEND", "auto"),
         help="execution backend for quantized layers (default: $REPRO_BACKEND or "
-             "'auto' = 'compiled' with a C toolchain, else 'integer-prefolded'; an "
-             "unavailable explicit backend falls back to 'integer-prefolded' with a warning)")
+             "'auto' = 'compiled' with a C toolchain, else 'integer'; an "
+             "unavailable explicit backend falls back to 'integer' with a warning)")
     p.add_argument("--requests", type=int, default=None,
                    help="self-traffic mode: send N requests per model over HTTP, "
                         "print /stats, exit (default: serve until Ctrl-C)")

@@ -1,7 +1,7 @@
 """Runtime-compiled kernel backend: quantized layers -> fused C via cc + ctypes.
 
 Linear and conv layers compile, each kind to one kernel; embeddings run
-the numpy ``integer-prefolded`` path they match bitwise. A third kernel
+the numpy ``integer`` path they match bitwise. A third kernel
 fake-quantizes the attention operands of ``compiled`` engines
 (:class:`CompiledQuantizer`). See ``docs/compile.md``
 for why, the kernel, the C ABI, cache layout, and the graceful-fallback

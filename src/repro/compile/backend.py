@@ -1,10 +1,10 @@
 """The ``compiled`` execution backend: fused C kernels via cc + ctypes.
 
-Subclasses :class:`~repro.quant.backends.PrefoldedBackend`, the numpy
-serving path, and replaces the linear and conv hot loops; embeddings
-run the inherited prefolded numpy path. The prepare step:
+Subclasses :class:`~repro.quant.backends.IntegerBackend`, the numpy
+integer path, and replaces the linear and conv hot loops; embeddings
+run the inherited numpy path. The prepare step:
 
-1. runs the inherited prefolded prepare (quantize weights, bias,
+1. runs the inherited ``integer`` prepare (quantize weights, bias,
    formats, fold the weight codes once);
 2. re-lays the folded weights as the kernel's operand, which replaces
    the numpy copy, so the layer keeps one folded weight array:
@@ -28,11 +28,12 @@ Parity contract: bitwise identical to the ``integer`` backend for every
 supported configuration. Configurations the renderer does not model
 (non-standard vector axes, non-float64 weight gammas from a forced
 compute-dtype policy, exotic input dtypes) silently run the inherited
-prefolded numpy path instead — identical results, just not compiled.
-A *missing compiler* is different: ``prepare`` raises
-``QuantBackendError`` so the engine-level ``resolve_backend`` fallback
-(one warning, then ``integer-prefolded``) is the only silent path, per
-the fallback contract in ``docs/compile.md``.
+numpy path instead — identical results, just not compiled. A *missing
+compiler* is different: ``prepare`` raises ``QuantBackendError`` so the
+engine-level ``resolve_backend`` fallback (one warning, then
+``integer``) is the only silent path, per the fallback contract in
+``docs/compile.md``. ``scale_product_bits`` is refused the same way:
+the kernels fold the per-vector scales the rounding knob perturbs.
 
 The engine gives a ``compiled`` model's attention operands a
 :class:`CompiledQuantizer` (:func:`operand_quantizer`): the numpy
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.quant.backends import (
-    PrefoldedBackend,
+    IntegerBackend,
     QuantBackendError,
     register_backend,
 )
@@ -111,8 +112,8 @@ _LINEAR_ARGS = [ctypes.c_void_p] * 5 + [ctypes.c_longlong] * 2
 _CONV_ARGS = [ctypes.c_void_p] * 5 + [ctypes.c_longlong] * 13
 
 
-class CompiledBackend(PrefoldedBackend):
-    """Prefolded execution with linear and conv layers lowered to C kernels."""
+class CompiledBackend(IntegerBackend):
+    """Integer execution with linear and conv layers lowered to C kernels."""
 
     name = "compiled"
 
@@ -128,9 +129,15 @@ class CompiledBackend(PrefoldedBackend):
             err = compiler_probe().get("error", "no working C compiler")
             raise QuantBackendError(
                 f"layer {layer.spec.name or '?'}: backend 'compiled' is "
-                f"unavailable ({err}); select 'integer-prefolded' instead or fix "
+                f"unavailable ({err}); select 'integer' instead or fix "
                 "the toolchain — engine-level backend='compiled' falls back "
                 "automatically"
+            )
+        if layer.scale_product_bits is not None:
+            raise QuantBackendError(
+                f"layer {layer.spec.name or '?'}: backend 'compiled' cannot apply "
+                "scale_product_bits (rounding needs the unfolded per-vector "
+                "scales); use the 'integer' backend"
             )
         super().prepare(layer)
         plan = {"linear": self._plan, "conv2d": self._plan_conv}.get(layer.spec.kind)
@@ -176,8 +183,8 @@ class CompiledBackend(PrefoldedBackend):
         """Narrow ``layer._wf`` to the kernel's operand, or ``None``.
 
         ``None`` means "correct but not compilable as rendered": the
-        inherited prefolded implementation runs instead, so results
-        never change — only speed.
+        inherited numpy implementation runs instead, so results never
+        change — only speed.
         """
         if layer._act_layout.axis != -1:
             return None

@@ -15,17 +15,15 @@ execution backend (:mod:`repro.quant.backends`) that
    and bias once per output.
 
 Backends are selected **once per model at load**: ``auto`` serves
-``compiled`` (fused C linear and conv kernels over the
-``integer-prefolded`` numpy path, :mod:`repro.compile`) when the C
-toolchain probe passes and
-``integer-prefolded`` (weights scale-folded once at load; fused NCHW
+``compiled`` (fused C linear and conv kernels over the ``integer``
+numpy path, :mod:`repro.compile`) when the C toolchain probe passes and
+``integer`` (weights scale-folded once at load; fused NCHW
 quantize+fold when channel vectors align) otherwise. Scale-product
-rounding forces plain ``integer``. All of them are bitwise identical
-where they overlap. Under ``compiled`` the attention operands (q, k,
-probs, v) also quantize in one C kernel
-(:class:`~repro.compile.backend.CompiledQuantizer`), bitwise equal to
-the numpy :class:`~repro.quant.quantizer.Quantizer` the other backends
-keep.
+rounding forces ``integer``. The two are bitwise identical. Under
+``compiled`` the attention operands (q, k, probs, v) also quantize in
+one C kernel (:class:`~repro.compile.backend.CompiledQuantizer`),
+bitwise equal to the numpy :class:`~repro.quant.quantizer.Quantizer`
+``integer`` keeps.
 Everything outside the GEMMs — BatchNorm, LayerNorm, softmax, residual
 adds, pooling — runs in floating point, exactly as the paper's
 accelerator leaves non-MAC work to higher precision.
@@ -69,22 +67,22 @@ from repro.tensor.tensor import Tensor, no_grad
 _INTEGER_KINDS = ("conv2d", "linear", "embedding")
 
 #: Engine-level backend choices (``"auto"`` resolves per environment).
-BACKEND_CHOICES = ("auto", "integer", "integer-prefolded", "compiled")
+BACKEND_CHOICES = ("auto", "integer", "compiled")
 
 
 def _pick_backend(requested: str, scale_product_bits: int | None) -> str:
     """The backend every quantized layer of the model runs.
 
     ``auto`` serves the measured winner, ``compiled``, wherever the
-    toolchain probe passes and ``integer-prefolded`` silently otherwise;
-    an explicit request for an unavailable backend degrades with one
-    warning (:func:`resolve_backend`). Scale folding distributes the
+    toolchain probe passes and ``integer`` silently otherwise; an
+    explicit request for an unavailable backend degrades with one
+    warning (:func:`resolve_backend`). The compiled kernels fold the
     integer per-vector scales into the codes, which is exactly what the
-    rounding knob perturbs — so rounding forces the unfolded ``integer``
-    backend regardless of the request.
+    rounding knob perturbs — so rounding forces ``integer`` regardless
+    of the request.
     """
     if requested == "auto":
-        requested = "compiled" if backend_available("compiled") else "integer-prefolded"
+        requested = "compiled" if backend_available("compiled") else "integer"
     else:
         requested = resolve_backend(requested)
     return "integer" if scale_product_bits is not None else requested
@@ -152,10 +150,10 @@ def build_integer_model(
 
     ``backend`` selects the execution backend for every quantized layer:
     ``"auto"`` (``"compiled"`` when a C toolchain works, else
-    ``"integer-prefolded"``), ``"integer"``, ``"integer-prefolded"``, or
-    ``"compiled"`` (fused C linear and conv kernels plus the C
-    attention-operand quantizer). Explicitly requesting an unavailable backend degrades to
-    ``integer-prefolded`` with one process-wide warning
+    ``"integer"``), ``"integer"``, or ``"compiled"`` (fused C linear and
+    conv kernels plus the C attention-operand quantizer). Explicitly
+    requesting an unavailable backend degrades to ``integer`` with one
+    process-wide warning
     (:func:`repro.quant.backends.resolve_backend`); ``"auto"`` degrades
     silently. Every choice is bitwise identical where it applies, so the
     degradation is safe. :attr:`IntegerEngine.backends` reports the picks.
@@ -220,7 +218,7 @@ def build_integer_model(
 
 def _executed_backend(layer: QuantizedLayer) -> str:
     if layer.backend == "compiled" and not CompiledBackend.compiles(layer):
-        return "integer-prefolded"
+        return "integer"
     return layer.backend
 
 
@@ -261,12 +259,12 @@ class IntegerEngine:
     @property
     def backends(self) -> dict:
         """What the model runs on, e.g. ``{"compiled": 25,
-        "integer-prefolded": 2, "attention_operands": "compiled"}`` for a
+        "integer": 2, "attention_operands": "compiled"}`` for a
         full-coverage MiniBERT, whose two embedding gathers have no kernel.
 
         Quantized layers are counted by the path they execute: a
         ``compiled`` layer counts as ``compiled`` only when it holds a
-        kernel plan, and as ``integer-prefolded`` (the numpy path it then
+        kernel plan, and as ``integer`` (the numpy path it then
         runs) otherwise. ``attention_operands`` (present when the model
         has quantized attention) is ``"compiled"``, ``"numpy"``, or
         ``"mixed"``.

@@ -13,7 +13,7 @@ Layout:
 - :mod:`repro.quant.plan` — QuantPlan: declarative per-model quantization
   plans from a layer-handler registry (the stack's shared contract)
 - :mod:`repro.quant.backends` — pluggable execution backends
-  (fakequant / integer / integer-prefolded)
+  (fakequant / integer / compiled)
 - :mod:`repro.quant.qlayers` — the unified QuantizedLayer (+ quantized
   attention)
 - :mod:`repro.quant.ptq` — post-training quantization pipeline

@@ -2,7 +2,7 @@
 
 A :class:`repro.quant.qlayers.QuantizedLayer` owns *what* to quantize (its
 :class:`~repro.quant.plan.LayerQuantSpec` + quantizers); an
-:class:`ExecutionBackend` owns *how* the layer computes. Four ship:
+:class:`ExecutionBackend` owns *how* the layer computes. Three ship:
 
 ``fakequant``
     Simulated quantization in floating point (the PTQ/QAT path): quantize
@@ -11,31 +11,26 @@ A :class:`repro.quant.qlayers.QuantizedLayer` owns *what* to quantize (its
 ``integer``
     The true integer datapath of :mod:`repro.quant.integer_exec` (Eq. 5):
     dynamic activation quantization into N-bit codes + M-bit per-vector
-    scales, integer GEMMs, fp coarse scales applied once. Supports the
-    ``scale_product_bits`` hardware rounding knob.
-``integer-prefolded``
-    The serving hot path: weight codes are scale-folded **once** at
-    prepare time; convolutions additionally use the fused NCHW
-    quantize+fold when channels align with the vector size. Bitwise
-    identical to ``integer`` with ``scale_product_bits=None`` (both run
-    the same :func:`~repro.quant.integer_exec.integer_*_folded` tail).
+    scales, integer GEMMs, fp coarse scales applied once. Weight codes
+    are scale-folded once at prepare time; convolutions use the fused
+    NCHW quantize+fold when channels align with the vector size. With the
+    ``scale_product_bits`` hardware rounding knob set, the weights stay
+    unfolded and the per-vector rounding path runs instead.
 ``compiled``
-    ``integer-prefolded`` with each linear and conv layer's
-    quantize/GEMM/epilogue pipeline lowered to one fused C kernel,
-    compiled at runtime with the system ``cc`` and loaded via ctypes
-    (:mod:`repro.compile`); embeddings run the prefolded numpy path.
-    Bitwise identical to
-    ``integer`` with ``scale_product_bits=None``; registers as
-    *unavailable* when no working compiler is present (see
-    :func:`resolve_backend`).
+    ``integer`` with each linear and conv layer's quantize/GEMM/epilogue
+    pipeline lowered to one fused C kernel, compiled at runtime with the
+    system ``cc`` and loaded via ctypes (:mod:`repro.compile`);
+    embeddings run the numpy path. Bitwise identical to ``integer``;
+    refuses ``scale_product_bits``; registers as *unavailable* when no
+    working compiler is present (see :func:`resolve_backend`).
 
 Backends are selected **per layer at runtime** via
 :meth:`QuantizedLayer.set_backend`; registering a new backend is one
 ``register_backend`` call — no parallel class hierarchy per layer type.
 A backend may additionally report runtime availability (``available`` /
 ``probe``): selecting an unavailable backend via ``set_backend`` raises,
-while the engine-level :func:`resolve_backend` degrades to
-``integer-prefolded`` with a single process-wide warning.
+while the engine-level :func:`resolve_backend` degrades to ``integer``
+with a single process-wide warning.
 """
 
 from __future__ import annotations
@@ -122,7 +117,7 @@ _FALLBACK_WARNED: set[str] = set()
 
 
 def resolve_backend(name: str) -> str:
-    """``name`` if that backend is available, else ``integer-prefolded``.
+    """``name`` if that backend is available, else ``integer``.
 
     The degradation path for environments without a C toolchain: a model
     loaded with ``backend='compiled'`` serves on the numpy serving path
@@ -132,7 +127,7 @@ def resolve_backend(name: str) -> str:
     backend = get_backend(name)
     if backend.available():
         return name
-    fallback = "integer-prefolded"
+    fallback = "integer"
     if name not in _FALLBACK_WARNED:
         _FALLBACK_WARNED.add(name)
         detail = backend.probe().get("error", "unavailable in this environment")
@@ -221,7 +216,16 @@ def _require_integer_spec(layer, role: str, spec: QuantSpec | None) -> QuantSpec
 
 
 class IntegerBackend(ExecutionBackend):
-    """True integer execution (Eq. 5) with dynamic activation quantization."""
+    """True integer execution (Eq. 5) with dynamic activation quantization.
+
+    Weight codes are scale-folded **once** at prepare time; convolutions
+    take the fused NCHW quantize+fold entry when the activation vectors
+    are whole channel blocks. A layer with ``scale_product_bits`` set
+    keeps its weights unfolded instead (folding distributes the integer
+    per-vector scales into the codes, which is exactly what the rounding
+    knob perturbs) and runs :func:`~repro.quant.integer_exec.integer_linear`
+    / :func:`~repro.quant.integer_exec.integer_conv2d`.
+    """
 
     name = "integer"
 
@@ -254,12 +258,26 @@ class IntegerBackend(ExecutionBackend):
         # When this layer's integer GEMM fits float32 exactly, store the
         # activation codes narrow too (halves kernel traffic, same bits).
         wq = layer.weight_q
-        nv, V = wq.codes.shape[-2:]
+        K, nv, V = wq.codes.shape[0], *wq.codes.shape[-2:]
         reduction = nv * V
         if wq.codes.ndim == 5:  # conv KRS(nv)(V): reduce over R*S too
             reduction *= wq.codes.shape[1] * wq.codes.shape[2]
         layer._code_dtype = exact_gemm_dtype(
             aspec.fmt, aspec.scale_fmt, wq.fmt, wq.scale_fmt, reduction
+        )
+        if layer.scale_product_bits is not None:
+            layer._wf = None
+            return
+        layer._wf = np.multiply(wq.codes, wq.sq[..., None], dtype=layer._code_dtype).reshape(
+            K, -1
+        )
+        layer._gamma_w = np.asarray(wq.gamma).reshape(K)
+        # Fused NCHW quantize+fold: channel vectors must tile C exactly.
+        layer._fused_nchw = (
+            spec.kind == "conv2d"
+            and layer.out_dtype is not None
+            and layer._act_layout.axis == 1
+            and layer.in_channels % layer._act_layout.vector_size == 0
         )
 
     # -- input handling -------------------------------------------------
@@ -287,6 +305,12 @@ class IntegerBackend(ExecutionBackend):
             code_dtype=layer._code_dtype,
         )
 
+    @staticmethod
+    def _fold(layer, xq: QuantizedTensor) -> np.ndarray:
+        """Activation codes times their per-vector scales, vectors flattened."""
+        xf = np.multiply(xq.codes, xq.sq[..., None], dtype=layer._code_dtype)
+        return xf.reshape(xq.codes.shape[:-2] + (-1,))
+
     def _finish(self, layer, out: np.ndarray, conv: bool) -> Tensor:
         if layer._bias_data is not None:
             out = out + (layer._bias_data[None, :, None, None] if conv else layer._bias_data)
@@ -296,26 +320,61 @@ class IntegerBackend(ExecutionBackend):
     # -- kinds -----------------------------------------------------------
     def run_linear(self, layer, x) -> Tensor:
         xq = self._quantize_input(layer, x)
-        out = integer_linear(
-            xq,
-            layer.weight_q,
-            scale_product_bits=layer.scale_product_bits,
-            out_dtype=layer.out_dtype,
-        )
+        if layer._wf is None:
+            out = integer_linear(
+                xq,
+                layer.weight_q,
+                scale_product_bits=layer.scale_product_bits,
+                out_dtype=layer.out_dtype,
+            )
+        else:
+            # The compiled backend narrows ``_wf`` to its kernel's integer
+            # operand; widening back to the code dtype is exact.
+            wf = layer._wf.astype(layer._code_dtype, copy=False)
+            out = integer_linear_folded(
+                self._fold(layer, xq), xq.gamma, wf, layer._gamma_w, layer.out_dtype
+            )
         rows = int(np.prod(out.shape[:-1]))
         layer.last_macs = rows * layer.in_features * layer.out_features
         return self._finish(layer, out, conv=False)
 
+    def _conv_weights(self, layer) -> np.ndarray:
+        """The folded ``(K, R*S*C2)`` conv weights the numpy GEMM reads."""
+        return layer._wf
+
     def run_conv2d(self, layer, x) -> Tensor:
-        xq = self._quantize_input(layer, x)
-        out = integer_conv2d(
-            xq,
-            layer.weight_q,
-            stride=layer.stride,
-            padding=layer.padding,
-            scale_product_bits=layer.scale_product_bits,
-            out_dtype=layer.out_dtype,
-        )
+        if layer._wf is None:
+            out = integer_conv2d(
+                self._quantize_input(layer, x),
+                layer.weight_q,
+                stride=layer.stride,
+                padding=layer.padding,
+                scale_product_bits=layer.scale_product_bits,
+                out_dtype=layer.out_dtype,
+            )
+        else:
+            if layer._fused_nchw:
+                xf, gamma_x = fold_quantize_conv_nchw(
+                    self._input_array(layer, x),
+                    layer._act_layout.vector_size,
+                    layer._act_fmt,
+                    layer._act_scale_fmt,
+                    layer.per_sample_scale,
+                    layer._code_dtype,
+                )
+            else:
+                xq = self._quantize_input(layer, x)
+                xf, gamma_x = self._fold(layer, xq), xq.gamma
+            out = integer_conv2d_folded(
+                xf,
+                gamma_x,
+                self._conv_weights(layer),
+                layer._gamma_w,
+                layer.kernel_size,
+                layer.stride,
+                layer.padding,
+                layer.out_dtype,
+            )
         B, K, P, Q = out.shape
         layer.last_macs = B * K * P * Q * layer.in_channels * layer.kernel_size**2
         return self._finish(layer, out, conv=True)
@@ -328,97 +387,8 @@ class IntegerBackend(ExecutionBackend):
         return Tensor(out)
 
 
-# ----------------------------------------------------------------------
-# integer-prefolded
-# ----------------------------------------------------------------------
-class PrefoldedBackend(IntegerBackend):
-    """Integer execution with weights scale-folded once at prepare time.
-
-    Requires ``scale_product_bits=None`` (folding distributes the integer
-    per-vector scales into the codes, which is exactly what the rounding
-    knob perturbs). Convolutions take the fused NCHW quantize+fold entry
-    when the activation vectors are contiguous channel blocks.
-    """
-
-    name = "integer-prefolded"
-
-    def prepare(self, layer) -> None:
-        super().prepare(layer)
-        if layer.spec.kind == "embedding":
-            return  # dequantized table is already the prepared form
-        if layer.scale_product_bits is not None:
-            raise QuantBackendError(
-                f"layer {layer.spec.name or '?'}: {self.name} cannot apply "
-                "scale_product_bits (rounding needs the unfolded per-vector scales); "
-                "use the 'integer' backend"
-            )
-        wq = layer.weight_q
-        K = wq.codes.shape[0]
-        layer._wf = np.multiply(wq.codes, wq.sq[..., None], dtype=layer._code_dtype).reshape(
-            K, -1
-        )
-        layer._gamma_w = np.asarray(wq.gamma).reshape(K)
-        # Fused NCHW quantize+fold: channel vectors must tile C exactly.
-        layer._fused_nchw = (
-            layer.spec.kind == "conv2d"
-            and layer.out_dtype is not None
-            and layer._act_layout.axis == 1
-            and layer.in_channels % layer._act_layout.vector_size == 0
-        )
-
-    def run_linear(self, layer, x) -> Tensor:
-        xq = self._quantize_input(layer, x)
-        xf = np.multiply(xq.codes, xq.sq[..., None], dtype=layer._code_dtype).reshape(
-            xq.codes.shape[:-2] + (-1,)
-        )
-        # The compiled backend narrows ``_wf`` to its kernel's integer
-        # operand; widening back to the code dtype is exact.
-        wf = layer._wf.astype(layer._code_dtype, copy=False)
-        out = integer_linear_folded(xf, xq.gamma, wf, layer._gamma_w, layer.out_dtype)
-        rows = int(np.prod(out.shape[:-1]))
-        layer.last_macs = rows * layer.in_features * layer.out_features
-        return self._finish(layer, out, conv=False)
-
-    def _conv_weights(self, layer) -> np.ndarray:
-        """The folded ``(K, R*S*C2)`` conv weights the numpy GEMM reads."""
-        return layer._wf
-
-    def run_conv2d(self, layer, x) -> Tensor:
-        if layer._fused_nchw:
-            data = self._input_array(layer, x)
-            xf, gamma_x = fold_quantize_conv_nchw(
-                data,
-                layer._act_layout.vector_size,
-                layer._act_fmt,
-                layer._act_scale_fmt,
-                layer.per_sample_scale,
-                layer._code_dtype,
-            )
-        else:
-            xq = self._quantize_input(layer, x)
-            B, H, W_, nv, V = xq.codes.shape
-            xf = np.multiply(xq.codes, xq.sq[..., None], dtype=layer._code_dtype).reshape(
-                B, H, W_, nv * V
-            )
-            gamma_x = xq.gamma
-        out = integer_conv2d_folded(
-            xf,
-            gamma_x,
-            self._conv_weights(layer),
-            layer._gamma_w,
-            layer.kernel_size,
-            layer.stride,
-            layer.padding,
-            layer.out_dtype,
-        )
-        B, K, P, Q = out.shape
-        layer.last_macs = B * K * P * Q * layer.in_channels * layer.kernel_size**2
-        return self._finish(layer, out, conv=True)
-
-
 register_backend(FakeQuantBackend())
 register_backend(IntegerBackend())
-register_backend(PrefoldedBackend())
 
 # The compiled backend lives in repro.compile (it drags in the renderer
 # and the cc runtime); importing it here makes `get_backend("compiled")`

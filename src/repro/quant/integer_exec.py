@@ -159,12 +159,26 @@ def _im2col_cols(
     return windows.reshape(B * P * Q, R * S * C), B, P, Q  # materializes patches
 
 
-def _fused_gamma_scale(gamma_x, gamma_w: np.ndarray) -> np.ndarray:
-    """Fold both coarse scales into one per-output factor ((K,) or batched)."""
-    gx = np.asarray(gamma_x)
-    if gx.size > 1:
-        return gx * gamma_w
-    return float(gx.reshape(-1)[0]) * gamma_w
+def _apply_gammas(acc: np.ndarray, gamma_x, gamma_w: np.ndarray, out_dtype) -> np.ndarray:
+    """The one epilogue: exact integer accumulators ``(..., K)`` -> real outputs.
+
+    ``gamma_w`` holds the K weight gammas; ``gamma_x`` is one value
+    (per-tensor) or per-sample with singleton non-batch axes, so it
+    broadcasts against ``acc``. ``out_dtype=None`` applies the gammas in
+    float64 with the reference multiply order — ``(acc*gx)*gw`` for one
+    gamma value, ``(acc*gw)*gx`` otherwise; ``out_dtype=np.float32``
+    folds both into one per-output factor and multiplies once in float32.
+    """
+    gamma_w = np.asarray(gamma_w).reshape(acc.shape[-1])
+    gamma_x = np.asarray(gamma_x)
+    if out_dtype is not None:
+        gx = gamma_x if gamma_x.size > 1 else float(gamma_x.reshape(-1)[0])
+        scale = gx * gamma_w
+        return np.multiply(acc, scale.astype(out_dtype, copy=False), dtype=out_dtype)
+    acc = acc.astype(np.float64, copy=False)
+    if gamma_x.size == 1:  # per-tensor: multiply by a scalar
+        return acc * float(gamma_x.reshape(-1)[0]) * gamma_w
+    return acc * gamma_w * gamma_x
 
 
 def integer_linear_folded(
@@ -176,24 +190,18 @@ def integer_linear_folded(
 ) -> np.ndarray:
     """GEMM over scale-folded linear operands (``codes * sq`` flattened).
 
-    The shared tail of :func:`integer_linear`'s fast path and the
-    ``integer-prefolded`` execution backend (which precomputes ``wf`` once
-    instead of per call) — one implementation, so the two are bitwise
-    identical by construction. ``out_dtype=None`` applies the coarse
-    gammas in float64 with the reference operation order;
-    ``out_dtype=np.float32`` fuses them into one low-precision multiply.
+    The tail of :func:`integer_linear` without rounding and of the
+    ``integer`` backend, which folds ``wf`` once at prepare instead of
+    per call. ``out_dtype`` as in :func:`_apply_gammas`.
     """
     acc = xf @ wf.T  # exact integers
-    gamma_w = np.asarray(gamma_w).reshape(wf.shape[0])
-    gamma_x = np.asarray(gamma_x)
-    if out_dtype is not None:
-        scale = _fused_gamma_scale(gamma_x, gamma_w)
-        return np.multiply(acc, scale.astype(out_dtype, copy=False), dtype=out_dtype)
-    acc = acc.astype(np.float64, copy=False)
-    if gamma_x.size == 1:  # per-tensor: multiply by a scalar
-        return acc * float(gamma_x.reshape(-1)[0]) * gamma_w
-    # Per-sample: singleton non-batch axes broadcast against the output.
-    return acc * gamma_w * gamma_x
+    return _apply_gammas(acc, gamma_x, gamma_w, out_dtype)
+
+
+def _nchw(acc: np.ndarray, gamma_x, gamma_w: np.ndarray, out_dtype) -> np.ndarray:
+    """Scale conv accumulators ``(B, P, Q, K)`` and return contiguous NCHW."""
+    out = _apply_gammas(acc, gamma_x, gamma_w, out_dtype)
+    return np.ascontiguousarray(np.moveaxis(out, 3, 1))
 
 
 def integer_conv2d_folded(
@@ -218,23 +226,9 @@ def integer_conv2d_folded(
     R, S = (
         (kernel_size, kernel_size) if isinstance(kernel_size, int) else kernel_size
     )
-    K = wf.shape[0]
     cols, B, P, Q = _im2col_cols(xf, R, S, stride, padding)
     acc = cols @ wf.T
-    gamma_w = np.asarray(gamma_w).reshape(K)
-    if out_dtype is not None:
-        scale = _fused_gamma_scale(gamma_x, gamma_w)
-        scaled = np.multiply(
-            acc.reshape(B, P, Q, K), scale.astype(out_dtype, copy=False), dtype=out_dtype
-        )
-        return np.ascontiguousarray(np.moveaxis(scaled, 3, 1))
-    # (B, P, Q, K) -> contiguous float64 NCHW before the fp gamma scaling.
-    out = np.ascontiguousarray(np.moveaxis(acc.reshape(B, P, Q, K), 3, 1), dtype=np.float64)
-    gamma_x = np.asarray(gamma_x)
-    if gamma_x.size == 1:  # per-tensor activation gamma
-        return out * float(gamma_x.reshape(-1)[0]) * gamma_w[None, :, None, None]
-    # Per-sample gamma (B, 1, 1, 1) broadcasts against out (B, K, P, Q).
-    return out * gamma_w[None, :, None, None] * gamma_x
+    return _nchw(acc.reshape(B, P, Q, wf.shape[0]), gamma_x, gamma_w, out_dtype)
 
 
 def round_scale_product(
@@ -336,19 +330,7 @@ def integer_linear(
     full_bits = x.scale_fmt.bits + w.scale_fmt.bits
     product = round_scale_product(product, full_bits, scale_product_bits)
     acc = (dot * product).sum(axis=-1)  # (batch..., K)
-    # The weight gamma is per output channel: shape (K, 1) -> (K,).
-    gamma_w = np.asarray(w.gamma).reshape(w.codes.shape[0])
-    gamma_x = np.asarray(x.gamma)
-    if out_dtype is not None:
-        # Fused low-precision scaling: fold both gammas into one small
-        # per-output factor ((K,) or (batch, 1, K)), one accumulator pass.
-        scale = _fused_gamma_scale(gamma_x, gamma_w)
-        return np.multiply(acc, scale.astype(out_dtype, copy=False), dtype=out_dtype)
-    if gamma_x.size == 1:  # per-tensor: multiply by a scalar
-        return acc * float(gamma_x.reshape(-1)[0]) * gamma_w
-    # Per-sample: gamma keeps sq's ndim with singleton non-batch axes, e.g.
-    # (B, 1, 1) against acc (B, T, K) — trailing broadcast lines up.
-    return acc * gamma_w * gamma_x
+    return _apply_gammas(acc, x.gamma, w.gamma, out_dtype)
 
 
 def integer_conv2d(
@@ -391,37 +373,29 @@ def integer_conv2d(
         dt = exact_gemm_dtype(x.fmt, x.scale_fmt, w.fmt, w.scale_fmt, R * S * C2)
         xf = np.multiply(x.codes, x.sq[..., None], dtype=dt).reshape(B, H, W_, C2)
         wf = np.multiply(w.codes, w.sq[..., None], dtype=dt).reshape(K, R * S * C2)
-        # Shared folded-GEMM tail (also the integer-prefolded backend's hot
-        # loop, which precomputes wf once at load instead of per call).
         return integer_conv2d_folded(
             xf, x.gamma, wf, w.gamma, (R, S), stride, padding, out_dtype
         )
-    else:
-        codes = x.codes
-        sq = x.sq
-        if padding:
-            pad_c = ((0, 0), (padding, padding), (padding, padding), (0, 0), (0, 0))
-            codes = np.pad(codes, pad_c)
-            sq = np.pad(sq, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-        out = np.zeros((B, K, P, Q))
-        # Loop over the R x S kernel footprint (vectorized over B, P, Q, K,
-        # nv): the same strided-slice structure hardware uses for weight
-        # reuse.
-        for r in range(R):
-            for s in range(S):
-                xs = codes[:, r : r + stride * P : stride, s : s + stride * Q : stride]
-                ss = sq[:, r : r + stride * P : stride, s : s + stride * Q : stride]
-                dot = np.einsum("bpqvi,kvi->bkpqv", xs, w.codes[:, r, s], optimize=True)
-                # (B,1,P,Q,nv) x (1,K,1,1,nv) -> (B,K,P,Q,nv)
-                product = ss[:, None, :, :, :] * w.sq[None, :, r, s, :][:, :, None, None, :]
-                product = round_scale_product(product, full_bits, scale_product_bits)
-                out += (dot * product).sum(axis=-1)
-    gamma_w = np.asarray(w.gamma).reshape(K)
-    gamma_x = np.asarray(x.gamma)
-    if gamma_x.size == 1:  # per-tensor activation gamma
-        return out * float(gamma_x.reshape(-1)[0]) * gamma_w[None, :, None, None]
-    # Per-sample gamma (B, 1, 1, 1) broadcasts against out (B, K, P, Q).
-    return out * gamma_w[None, :, None, None] * gamma_x
+    codes = x.codes
+    sq = x.sq
+    if padding:
+        pad_c = ((0, 0), (padding, padding), (padding, padding), (0, 0), (0, 0))
+        codes = np.pad(codes, pad_c)
+        sq = np.pad(sq, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    acc = np.zeros((B, P, Q, K))
+    # Loop over the R x S kernel footprint (vectorized over B, P, Q, K,
+    # nv): the same strided-slice structure hardware uses for weight
+    # reuse.
+    for r in range(R):
+        for s in range(S):
+            xs = codes[:, r : r + stride * P : stride, s : s + stride * Q : stride]
+            ss = sq[:, r : r + stride * P : stride, s : s + stride * Q : stride]
+            dot = np.einsum("bpqvi,kvi->bpqkv", xs, w.codes[:, r, s], optimize=True)
+            # (B,P,Q,1,nv) x (K,nv) -> (B,P,Q,K,nv)
+            product = ss[..., None, :] * w.sq[:, r, s, :]
+            product = round_scale_product(product, full_bits, scale_product_bits)
+            acc += (dot * product).sum(axis=-1)
+    return _nchw(acc, x.gamma, w.gamma, out_dtype)
 
 
 def fake_quant_linear_reference(

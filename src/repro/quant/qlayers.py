@@ -5,8 +5,8 @@ One :class:`QuantizedLayer` serves every stage of the stack: it owns a
 :class:`~repro.quant.quantizer.Quantizer` objects (fake-quant state), and
 delegates *how* it computes to a pluggable execution backend
 (:mod:`repro.quant.backends`): ``fakequant`` for PTQ/QAT simulation,
-``integer`` / ``integer-prefolded`` for the true integer datapath the
-serving engine runs. The layer kinds (conv2d / linear / embedding) differ
+``integer`` / ``compiled`` for the true integer datapath the serving
+engine runs. The layer kinds (conv2d / linear / embedding) differ
 only in the :class:`~repro.quant.plan.LayerHandler` that plans and builds
 them and the per-kind backend entry point; code that cares about the kind
 reads ``layer.kind``.
@@ -94,15 +94,28 @@ class QuantizedLayer(nn.Module):
         """Select the execution backend (and optionally runtime knobs).
 
         ``runtime`` may set ``per_sample_scale``, ``scale_product_bits``,
-        and ``out_dtype`` before the backend's ``prepare`` runs. Returns
-        ``self`` so engine code can build-and-configure in one expression.
+        and ``out_dtype`` before the backend's ``prepare`` runs. The switch
+        is all-or-nothing: if ``prepare`` raises, the knobs are restored
+        and the previous backend is prepared again, so the layer keeps
+        computing exactly what it did before. Returns ``self`` so engine
+        code can build-and-configure in one expression.
         """
-        for key, value in runtime.items():
+        for key in runtime:
             if key not in _RUNTIME_KNOBS:
                 raise TypeError(f"unknown runtime knob {key!r} (expected {_RUNTIME_KNOBS})")
-            setattr(self, key, value)
         exec_backend = get_backend(name)
-        exec_backend.prepare(self)
+        saved = {key: getattr(self, key) for key in runtime}
+        for key, value in runtime.items():
+            setattr(self, key, value)
+        try:
+            exec_backend.prepare(self)
+        except Exception:
+            for key, value in saved.items():
+                setattr(self, key, value)
+            previous = getattr(self, "_exec", None)
+            if previous is not None:
+                previous.prepare(self)
+            raise
         self._exec = exec_backend
         return self
 

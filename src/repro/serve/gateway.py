@@ -847,8 +847,7 @@ def serve_gateway(
     gets ``replicas`` replicas (and, if ``autoscale`` / ``health`` is
     given, its own queue-depth autoscaler / replica supervisor under
     that policy). ``backend`` selects the per-layer execution backend
-    (``auto`` / ``integer`` / ``integer-prefolded`` / ``compiled``) for
-    every model loaded here.
+    (``auto`` / ``integer`` / ``compiled``) for every model loaded here.
 
     ``replica_mode`` picks where replicas execute: ``"thread"`` (in this
     process), ``"process"`` (one forked worker process per replica), or

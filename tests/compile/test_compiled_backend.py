@@ -5,7 +5,7 @@ Three tiers:
 - **contract tests** (run everywhere, compiler or not): unknown-backend
   errors enumerate the registry, ``set_backend("compiled")`` without a
   toolchain raises clearly, and :func:`resolve_backend` degrades to
-  ``integer-prefolded`` with exactly one process-wide warning — for a
+  ``integer`` with exactly one process-wide warning — for a
   loaded engine too;
 - **directed parity** on bias'd Linears and on Conv2d geometries the
   conv kernel must cover (kernel size, stride, padding, tail vectors,
@@ -136,12 +136,12 @@ class TestContracts:
         monkeypatch.setattr(backends_mod, "_FALLBACK_WARNED", set())
         try:
             with caplog.at_level("WARNING", logger="repro.quant.backends"):
-                assert resolve_backend("compiled") == "integer-prefolded"
-                assert resolve_backend("compiled") == "integer-prefolded"
-                assert resolve_backend("compiled") == "integer-prefolded"
+                assert resolve_backend("compiled") == "integer"
+                assert resolve_backend("compiled") == "integer"
+                assert resolve_backend("compiled") == "integer"
             warnings = [
                 r for r in caplog.records
-                if "falling back to 'integer-prefolded'" in r.message
+                if "falling back to 'integer'" in r.message
             ]
             assert len(warnings) == 1
             assert "'compiled' is unavailable" in warnings[0].message
@@ -152,7 +152,7 @@ class TestContracts:
         with pytest.raises(QuantBackendError, match="unknown execution backend"):
             resolve_backend("nope")
 
-    def test_engine_without_toolchain_serves_prefolded(self, monkeypatch, rng, tmp_path):
+    def test_engine_without_toolchain_serves_integer(self, monkeypatch, rng, tmp_path):
         """backend='compiled' on a toolchain-less host serves what 'auto'
         serves, bit for bit equal to the integer reference."""
         model = MiniResNet(num_classes=4, width=1, depth=1, seed=0)
@@ -170,7 +170,7 @@ class TestContracts:
             backends, y, y_int = _engine_vs_integer(tmp_path / "m", x, "compiled")
         finally:
             reset_compiler_probe()
-        assert backends == {"integer-prefolded"}
+        assert backends == {"integer"}
         assert y.dtype == y_int.dtype
         np.testing.assert_array_equal(y, y_int)
 
@@ -189,7 +189,7 @@ class TestContracts:
         rounded = IntegerEngine.load(tmp_path / "m", scale_product_bits=6)
         assert rounded.backends == {"integer": 1}
 
-    def test_auto_without_toolchain_serves_prefolded_silently(
+    def test_auto_without_toolchain_serves_integer_silently(
         self, monkeypatch, rng, tmp_path, caplog
     ):
         from repro.quant import backends as backends_mod
@@ -209,7 +209,7 @@ class TestContracts:
                 engine(rng.standard_normal((2, 16)))
         finally:
             reset_compiler_probe()
-        assert engine.backends == {"integer-prefolded": 1}
+        assert engine.backends == {"integer": 1}
         assert [r for r in caplog.records if r.name.startswith("repro.quant")] == []
 
     def test_auto_without_toolchain_serves_convs_on_numpy_silently(
@@ -235,17 +235,24 @@ class TestContracts:
                 y = engine(x)
         finally:
             reset_compiler_probe()
-        assert engine.backends == {"integer-prefolded": len(quant_layers(engine.model))}
+        assert engine.backends == {"integer": len(quant_layers(engine.model))}
         assert [r for r in caplog.records if r.name.startswith("repro.quant")] == []
         reference = IntegerEngine.load(tmp_path / "m", precision="float32", backend="integer")
         np.testing.assert_array_equal(y, reference(x))
 
     def test_available_backends_resolve_to_themselves(self):
+        assert resolve_backend("fakequant") == "fakequant"
         assert resolve_backend("integer") == "integer"
-        assert resolve_backend("integer-prefolded") == "integer-prefolded"
+
+    def test_engine_backend_choices(self):
+        from repro.deploy.engine import BACKEND_CHOICES
+
+        assert BACKEND_CHOICES == ("auto", "integer", "compiled")
+        with pytest.raises(QuantBackendError, match="unknown execution backend"):
+            get_backend("integer-prefolded")
 
     def test_default_backends_probe_available(self):
-        for name in ("fakequant", "integer", "integer-prefolded"):
+        for name in ("fakequant", "integer"):
             assert get_backend(name).available() is True
             assert get_backend(name).probe() == {"available": True}
 
@@ -498,7 +505,7 @@ class TestDirectedParity:
 
     def test_backends_count_the_layers_that_run_numpy(self, rng, tmp_path):
         """MiniBERT's embedding gathers have no kernel: they count as
-        ``integer-prefolded`` even on a ``compiled`` engine."""
+        ``integer`` even on a ``compiled`` engine."""
         config = MiniBERTConfig(
             name="tiny", vocab_size=50, max_seq_len=8, d_model=16, num_heads=2,
             num_layers=1, d_ff=32,
@@ -520,7 +527,7 @@ class TestDirectedParity:
         assert embeddings == 2
         assert engine.backends == {
             "compiled": len(layers) - embeddings,
-            "integer-prefolded": embeddings,
+            "integer": embeddings,
             "attention_operands": "compiled",
         }
 

@@ -78,7 +78,7 @@ class TestResNetEngine:
 
     def test_swapped_layer_types(self, resnet_pair):
         _, out = resnet_pair
-        engine = IntegerEngine.load(out, backend="integer-prefolded")
+        engine = IntegerEngine.load(out, backend="integer")
         kinds = {
             m.kind
             for _, m in engine.model.named_modules()
@@ -223,9 +223,17 @@ class TestFloat32Glue:
     bias is built in the scores' dtype. float64 engines stay float64."""
 
     @pytest.mark.parametrize("precision", ["float32", "float64"])
-    def test_resnet_modules_keep_the_engine_dtype(self, rng, resnet_pair, precision):
+    @pytest.mark.parametrize("scale_product_bits", [None, 6])
+    def test_resnet_modules_keep_the_engine_dtype(
+        self, rng, resnet_pair, precision, scale_product_bits
+    ):
+        """Scale-product rounding runs the unfolded integer path, whose
+        convolutions must honor the engine precision too."""
         _, out = resnet_pair
-        engine = IntegerEngine.load(out, precision=precision, per_sample_scale=True)
+        engine = IntegerEngine.load(
+            out, precision=precision, per_sample_scale=True,
+            scale_product_bits=scale_product_bits,
+        )
         x = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
         seen = _module_output_dtypes(engine, x)
         assert {"BatchNorm2d", "BasicBlock", "QuantizedLayer"} <= set(seen)

@@ -2,11 +2,12 @@
 
 A *golden case* is (model, quant config): a deterministic tiny model
 (seeded construction, no training), a fixed calibration batch, and fixed
-eval inputs. For each case we record the predictions of the three
-execution paths — ``fakequant`` (the PTQ simulation), ``integer`` (the
-unfolded integer kernels), ``integer_prefolded`` (the scale-folded
-serving hot path) — plus the artifact payload SHA-256, as **fixed
-bytes** in ``tests/golden/*.npz``.
+eval inputs. For each case we record the predictions of three execution
+paths — ``fakequant`` (the PTQ simulation), ``integer`` (every quantized
+layer on the numpy ``integer`` backend) and, under the historical key
+``integer_prefolded``, the engine's default ``auto`` backend (``compiled``
+with a C toolchain, else ``integer``) — plus the artifact payload
+SHA-256, as **fixed bytes** in ``tests/golden/*.npz``.
 
 Self-parity tests (A == B recomputed in the same process) cannot catch a
 refactor that changes both paths the same way; these pins can. Regenerate
@@ -97,10 +98,10 @@ def compute_case(model_name: str, config_name: str) -> dict[str, np.ndarray]:
         payload_sha = manifest["payload"]["sha256"]
         artifact = load_artifact(tmp)
 
-        # strict float64 reference engine, default (prefolded) backends
-        prefolded_model = build_integer_model(artifact)
+        # strict float64 reference engine on the default ``auto`` backend
+        auto_model = build_integer_model(artifact)
         with no_grad():
-            prefolded = np.asarray(prefolded_model(*inputs).data, dtype=np.float64)
+            auto = np.asarray(auto_model(*inputs).data, dtype=np.float64)
 
         integer_model = build_integer_model(artifact)
         for _, layer in quant_layers(integer_model):
@@ -112,6 +113,6 @@ def compute_case(model_name: str, config_name: str) -> dict[str, np.ndarray]:
     return {
         "fakequant": fakequant,
         "integer": integer,
-        "integer_prefolded": prefolded,
+        "integer_prefolded": auto,
         "payload_sha256": np.frombuffer(bytes.fromhex(payload_sha), dtype=np.uint8),
     }

@@ -3,7 +3,7 @@
 Run:  PYTHONPATH=src python tests/golden/regen_goldens.py
 
 Overwrites every ``tests/golden/golden_*.npz`` with freshly computed
-predictions (fakequant / integer / integer-prefolded) and artifact
+predictions (fakequant / integer / the default ``auto`` backend) and artifact
 payload hashes. Only do this after an **intentional** numerical change,
 and review the resulting binary diff in the PR like any other change —
 the whole point of the pins is that unintentional drift fails loudly.

@@ -44,8 +44,8 @@ def test_predictions_match_golden_bytes(model_name, config_name):
 
 @pytest.mark.parametrize("model_name,config_name", CASES)
 def test_golden_modes_cover_contract(model_name, config_name):
-    """The pinned modes must stay mutually consistent: integer equals
-    prefolded bitwise (shared folded kernels), and both stay within
+    """The pinned modes must stay mutually consistent: ``integer`` equals
+    the default ``auto`` backend bitwise, and both stay within
     quantization-noise distance of the fakequant simulation."""
     recomputed = compute_case(model_name, config_name)
     np.testing.assert_array_equal(

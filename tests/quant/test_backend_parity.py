@@ -1,12 +1,10 @@
-"""Cross-backend parity matrix: fakequant vs integer vs prefolded vs compiled.
+"""Cross-backend parity matrix: fakequant vs integer vs compiled.
 
 The acceptance invariant of the unified stack: one shared
-:class:`QuantizedLayer` implementation, four execution backends, and —
+:class:`QuantizedLayer` implementation, three execution backends, and —
 over MiniResNet and MiniBERT at the paper's W4/A4-S4/S4 flagship format
 and at W8/A8 — the guarantees:
 
-- ``integer`` and ``integer-prefolded`` are **bitwise identical** (they
-  share the folded-GEMM kernels; prefolding only moves work to load time),
 - ``compiled`` (fused C kernels, :mod:`repro.compile`) is **bitwise
   identical** to ``integer`` across the same matrix, in both float64 and
   float32 serving precision, per-tensor and per-sample scales (skipped
@@ -91,29 +89,16 @@ def bert_case(request, rng, tmp_path):
 
 
 class TestResNetMatrix:
-    @pytest.mark.parametrize("precision", ["float64", "float32"])
-    def test_integer_equals_prefolded_bitwise(self, resnet_case, precision):
-        _, out, x = resnet_case
-        engine = IntegerEngine.load(out, precision=precision, backend="integer-prefolded")
-        assert {layer.backend for _, layer in quant_layers(engine.model)} == {
-            "integer-prefolded"
-        }
-        y_pre = engine(x)
-        _set_backend_everywhere(engine.model, "integer")
-        y_int = engine(x)
-        np.testing.assert_array_equal(y_pre, y_int)
-
     def test_integer_matches_fakequant(self, resnet_case):
         qmodel, out, x = resnet_case
         with no_grad():
             y_fake = qmodel(Tensor(x)).data
         _assert_close_predictions(y_fake, IntegerEngine.load(out)(x))
 
-    @pytest.mark.parametrize("backend", ["integer", "integer-prefolded"])
-    def test_per_sample_scale_batch_invariant(self, resnet_case, backend):
+    def test_per_sample_scale_batch_invariant(self, resnet_case):
         _, out, x = resnet_case
         engine = IntegerEngine.load(out, per_sample_scale=True)
-        _set_backend_everywhere(engine.model, backend)
+        _set_backend_everywhere(engine.model, "integer")
         full = engine(x)
         solo = np.concatenate([engine(x[i : i + 1]) for i in range(len(x))])
         np.testing.assert_allclose(solo, full, rtol=1e-6, atol=1e-9)
@@ -134,15 +119,6 @@ class TestResNetMatrix:
 
 
 class TestBERTMatrix:
-    @pytest.mark.parametrize("precision", ["float64", "float32"])
-    def test_integer_equals_prefolded_bitwise(self, bert_case, precision):
-        _, out, (tokens, mask) = bert_case
-        engine = IntegerEngine.load(out, precision=precision)
-        y_pre = engine(tokens, mask=mask)
-        _set_backend_everywhere(engine.model, "integer")
-        y_int = engine(tokens, mask=mask)
-        np.testing.assert_array_equal(y_pre, y_int)
-
     def test_integer_matches_fakequant(self, bert_case):
         qmodel, out, (tokens, mask) = bert_case
         with no_grad():

@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from repro import nn
 from repro.quant import Granularity, PTQConfig, QuantizedLayer, QuantSpec
@@ -106,3 +107,77 @@ class TestQuantLayersHelper:
         assert len(found) == 2
         assert all(type(m) is QuantizedLayer for _, m in found)
         assert [m.kind for _, m in found] == ["conv2d", "linear"]
+
+
+class TestSetBackendAllOrNothing:
+    """A ``set_backend`` whose ``prepare`` raises leaves the layer as it was:
+    same backend, same runtime knobs, bitwise the same outputs."""
+
+    KNOBS = ("per_sample_scale", "scale_product_bits", "out_dtype")
+
+    @staticmethod
+    def _codes_only_layer(rng):
+        """A linear layer holding integer codes and no float weights, as an
+        artifact-loaded layer does, on ``integer`` with float32 outputs."""
+        base = nn.Linear(40, 12, rng=rng)
+        base.bias.data = rng.standard_normal(12)
+        handler = get_handler("linear")
+        config = PTQConfig.vs_quant(4, 4, weight_scale="4", act_scale="4")
+        built = handler.build(base, handler.plan("fc", base, config)).set_backend("integer")
+        return QuantizedLayer(
+            built.spec, bias=base.bias.data, weight_q=built.weight_q, backend="integer",
+            per_sample_scale=True, out_dtype=np.float32,
+        )
+
+    def _assert_unchanged(self, layer, backend, knobs, x, y0):
+        assert layer.backend == backend
+        assert {k: getattr(layer, k) for k in self.KNOBS} == knobs
+        with no_grad():
+            y = layer(Tensor(x)).data
+        assert y.dtype == y0.dtype
+        np.testing.assert_array_equal(y, y0)
+
+    def _switch_fails(self, layer, x, name, **runtime):
+        from repro.quant.backends import QuantBackendError
+
+        with no_grad():
+            y0 = layer(Tensor(x)).data
+        before, knobs = layer.backend, {k: getattr(layer, k) for k in self.KNOBS}
+        with pytest.raises(QuantBackendError):
+            layer.set_backend(name, **runtime)
+        self._assert_unchanged(layer, before, knobs, x, y0)
+
+    def test_fakequant_without_float_weights(self, rng):
+        layer = self._codes_only_layer(rng)
+        x = rng.standard_normal((3, 40)).astype(np.float32)
+        self._switch_fails(
+            layer, x, "fakequant", scale_product_bits=3, per_sample_scale=False,
+            out_dtype=None,
+        )
+
+    def test_compiled_refuses_rounding(self, rng):
+        from repro.compile import compiler_available
+
+        if not compiler_available():
+            pytest.skip("no working C compiler on this host")
+        layer = self._codes_only_layer(rng).set_backend("compiled")
+        x = rng.standard_normal((3, 40)).astype(np.float32)
+        self._switch_fails(layer, x, "compiled", scale_product_bits=3)
+
+    def test_prepare_that_fails_midway(self, rng, monkeypatch):
+        """A ``prepare`` that rewrote derived state before raising: the
+        previous backend is prepared again under the restored knobs."""
+        from repro.quant import backends
+        from repro.quant.backends import IntegerBackend, QuantBackendError
+
+        class Broken(IntegerBackend):
+            name = "broken"
+
+            def prepare(self, layer):
+                super().prepare(layer)
+                raise QuantBackendError("fails after folding")
+
+        monkeypatch.setitem(backends._BACKENDS, "broken", Broken())
+        layer = self._codes_only_layer(rng)
+        x = rng.standard_normal((17, 40)).astype(np.float32)
+        self._switch_fails(layer, x, "broken", out_dtype=None, scale_product_bits=5)

@@ -507,7 +507,7 @@ class TestGatewayHTTP:
         path, engine = tiny_artifact
         client.load("tiny", str(path))
         stats = client.stats()["models"]
-        picked = "compiled" if compiler_available() else "integer-prefolded"
+        picked = "compiled" if compiler_available() else "integer"
         assert stats["tiny"]["backends"] == {picked: len(quant_layers(engine.model))}
         assert stats["tiny"]["backends"] == engine.backends
         assert "backends" not in stats["double"]  # a bare batch_fn has no layers

@@ -53,7 +53,8 @@ def wait_until(cond, timeout=10.0, step=0.01):
 @pytest.fixture(scope="module")
 def golden_artifact(tmp_path_factory):
     """The golden miniresnet case saved as an artifact + its pinned
-    inputs and ``integer_prefolded`` outputs (fixed bytes from the npz)."""
+    inputs and ``integer_prefolded`` (default ``auto`` backend) outputs
+    (fixed bytes from the npz)."""
     from repro.deploy import save_artifact
     from repro.quant import quantize_model
 
