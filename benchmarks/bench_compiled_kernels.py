@@ -26,7 +26,8 @@ A second row times the conv kernel the same way on a MiniResNet stage-1
 layer (16->16 channels, 3x3, 32x32, batch 8). It is reported, not
 gated: the offline-resnet workload of ``perfbench`` is the conv gate.
 
-Every timed run first asserts the compiled output is **bitwise equal**
+Every side is warmed with :data:`WARMUP_CALLS` untimed calls before it
+is timed. Every timed run first asserts the compiled output is **bitwise equal**
 to both numpy baselines — a fast kernel that drifts is a bug, not a
 win. Without a working C compiler the bench prints a skip notice and
 exits 0 *without* writing the BENCH file (the trajectory gate skips
@@ -60,9 +61,15 @@ FULL = {"rows": 8, "features": 4096, "floor": 10.0, "repeats": 7}
 SMOKE = {"rows": 8, "features": 1024, "floor": 5.0, "repeats": 5}
 #: The conv row: one MiniResNet stage-1 conv on a batch of 8 images.
 CONV = {"batch": 8, "channels": 16, "hw": 32}
+#: Untimed calls before every timed side: a cold numpy side (first-touch
+#: allocations, BLAS thread start-up) would inflate every ratio.
+WARMUP_CALLS = 100
 
 
 def _best_time(fn, repeats: int = 5) -> float:
+    """Best of ``repeats`` timed calls, after :data:`WARMUP_CALLS` untimed ones."""
+    for _ in range(WARMUP_CALLS):
+        fn()
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()

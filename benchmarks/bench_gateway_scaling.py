@@ -46,14 +46,13 @@ from __future__ import annotations
 
 import os
 import tempfile
-import threading
-import time
 
-from repro.cli import synthetic_payloads
 from repro.deploy import save_artifact
+from repro.loadgen import drive_closed_loop, gateway_sender
 from repro.quant import PTQConfig, quantize_model
-from repro.serve import GatewayClient, GatewayOverloaded, serve_gateway
+from repro.serve import GatewayClient, serve_gateway
 from repro.serve.client import encode_inputs
+from repro.serve.runners import synthetic_payloads
 
 QUANT = dict(weight_bits=4, act_bits=4, weight_scale="4", act_scale="4")
 REPLICA_COUNTS = (1, 4)
@@ -198,44 +197,6 @@ def _mixed_requests(gateway, per_model: int) -> list[tuple[str, list]]:
     return mixed
 
 
-def _drive(url: str, requests: list[tuple[str, list]], clients: int) -> dict[str, float]:
-    """Closed-loop clients splitting one mixed request tape; wall-clock rps."""
-    slices = [requests[i::clients] for i in range(clients)]
-    retries = [0] * clients
-    errors = [0] * clients
-
-    def run_client(idx: int) -> None:
-        client = GatewayClient(url)
-        for name, inputs in slices[idx]:
-            while True:
-                try:
-                    client.predict(name, inputs)
-                    break
-                except GatewayOverloaded:
-                    retries[idx] += 1
-                    time.sleep(0.005)
-                except Exception:  # noqa: BLE001 - count, keep driving
-                    errors[idx] += 1
-                    break
-
-    threads = [threading.Thread(target=run_client, args=(i,)) for i in range(clients)]
-    start = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    elapsed = time.perf_counter() - start
-    done = len(requests) - sum(errors)
-    return {
-        "requests": float(len(requests)),
-        "completed": float(done),
-        "client_errors": float(sum(errors)),
-        "overload_retries": float(sum(retries)),
-        "elapsed_s": elapsed,
-        "rps": done / elapsed,
-    }
-
-
 def run(smoke: bool = False, replica_mode: str = "process") -> dict:
     clients = SMOKE_CLIENTS if smoke else CLIENTS
     per_client = SMOKE_REQUESTS if smoke else REQUESTS_PER_CLIENT
@@ -265,15 +226,22 @@ def run(smoke: bool = False, replica_mode: str = "process") -> dict:
                 for name, inputs in _mixed_requests(gateway, 1):
                     warm.predict(name, inputs)
                 tape = _mixed_requests(gateway, clients * per_client // 2)
-                run_metrics = _drive(gateway.url, tape, clients)
+                load = drive_closed_loop(tape, clients, gateway_sender(gateway.url))
                 stats = warm.stats()["models"]
-            run_metrics["per_model"] = {
-                name: {k: s[k] for k in
-                       ("completed", "rejected", "latency_ms_p50", "latency_ms_p99",
-                        "mean_batch_size")}
-                for name, s in stats.items()
+            results[f"replicas_{replicas}"] = {
+                "requests": float(load.requests),
+                "completed": float(load.completed),
+                "client_errors": float(load.failed),
+                "overload_retries": float(load.overload_retries),
+                "elapsed_s": load.wall_s,
+                "rps": load.rps,
+                "per_model": {
+                    name: {k: s[k] for k in
+                           ("completed", "rejected", "latency_ms_p50", "latency_ms_p99",
+                            "mean_batch_size")}
+                    for name, s in stats.items()
+                },
             }
-            results[f"replicas_{replicas}"] = run_metrics
 
     lo = results[f"replicas_{REPLICA_COUNTS[0]}"]["rps"]
     hi = results[f"replicas_{REPLICA_COUNTS[-1]}"]["rps"]
@@ -324,10 +292,12 @@ def run_obs_overhead(trials: int = OVERHEAD_TRIALS) -> dict:
                     tape = _mixed_requests(
                         gateway, OVERHEAD_CLIENTS * OVERHEAD_REQUESTS // 2
                     )
-                    run_m = _drive(gateway.url, tape, OVERHEAD_CLIENTS)
-                pair["rps_on" if instrument else "rps_off"] = run_m["rps"]
+                    load = drive_closed_loop(
+                        tape, OVERHEAD_CLIENTS, gateway_sender(gateway.url)
+                    )
+                pair["rps_on" if instrument else "rps_off"] = load.rps
                 pair.setdefault("client_errors", 0.0)
-                pair["client_errors"] += run_m["client_errors"]
+                pair["client_errors"] += load.failed
             pair["overhead_frac"] = max(0.0, 1.0 - pair["rps_on"] / pair["rps_off"])
             results.append(pair)
     best = min(r["overhead_frac"] for r in results)

@@ -52,15 +52,9 @@ import time
 import numpy as np
 
 from repro.deploy import IntegerEngine, save_artifact
+from repro.loadgen import drive_closed_loop, gateway_sender
 from repro.quant import PTQConfig, quantize_model
-from repro.serve import (
-    FaultPlan,
-    FaultSpec,
-    GatewayClient,
-    GatewayOverloaded,
-    RetryPolicy,
-    serve_gateway,
-)
+from repro.serve import FaultPlan, FaultSpec, GatewayClient, RetryPolicy, serve_gateway
 from repro.serve.runners import synthetic_payloads
 
 #: v1 -> v2 differ in quantization config: same topology, different
@@ -103,92 +97,6 @@ def _export(model, quant: dict, out_dir: str, hw: int) -> str:
     return out_dir
 
 
-def _drive_rollout(
-    url: str, name: str, payloads: list, clients: int, swap_fn
-) -> dict:
-    """Closed-loop clients over one tape; ``swap_fn`` fires mid-tape.
-
-    A client whose tape runs out before the swap completes keeps
-    re-sending it until the swap is done, then sends one more request,
-    so requests are in flight across the whole swap however fast the
-    model serves. Returns per-request (sequence index, version)
-    observations plus failure counts. 429s retry (admission control is
-    not a failure); any other error counts as a failed request.
-    """
-    slices = [payloads[i::clients] for i in range(clients)]
-    lock = threading.Lock()
-    observed: list[tuple[float, str]] = []
-    failures: list[str] = []
-    retries = [0] * clients
-    attempted = [0]
-    halfway = threading.Event()
-    swap_done = threading.Event()
-    done_before_swap = max(1, len(payloads) // 2)
-
-    def send(client: GatewayClient, idx: int, p) -> bool:
-        with lock:
-            attempted[0] += 1
-        while True:
-            try:
-                body = client.predict(name, p, raw=True)
-                with lock:
-                    observed.append((time.perf_counter(), body["version"]))
-                    if len(observed) >= done_before_swap:
-                        halfway.set()
-                return True
-            except GatewayOverloaded:
-                retries[idx] += 1
-                time.sleep(0.002)
-            except Exception as exc:  # noqa: BLE001 - a rollout failure
-                with lock:
-                    failures.append(f"{type(exc).__name__}: {exc}")
-                    halfway.set()  # never deadlock the swap trigger
-                return False
-
-    def run_client(idx: int) -> None:
-        client = GatewayClient(url)
-        tape = slices[idx]
-        if not all(send(client, idx, p) for p in tape):
-            return
-        if swap_done.is_set() or not tape:
-            return
-        k = 0
-        while not swap_done.is_set():
-            if not send(client, idx, tape[k % len(tape)]):
-                return
-            k += 1
-        send(client, idx, tape[k % len(tape)])
-
-    threads = [threading.Thread(target=run_client, args=(i,)) for i in range(clients)]
-    start = time.perf_counter()
-    for t in threads:
-        t.start()
-    halfway.wait(timeout=120.0)
-    try:
-        swap_report = swap_fn()
-    finally:
-        swap_done.set()
-    for t in threads:
-        t.join()
-    elapsed = time.perf_counter() - start
-
-    versions: dict[str, int] = {}
-    for _ts, version in observed:
-        versions[version] = versions.get(version, 0) + 1
-    return {
-        "requests": attempted[0],
-        "completed": len(observed),
-        "failed_requests": len(failures),
-        "failure_samples": failures[:5],
-        "overload_retries": sum(retries),
-        "elapsed_s": elapsed,
-        "swap_duration_s": swap_report["duration_s"],
-        "old_version": swap_report["old_version"],
-        "new_version": swap_report["new_version"],
-        "versions": versions,
-    }
-
-
 def _run_rollout(artifact_v1: str, artifact_v2: str, clients: int, per_client: int) -> dict:
     gateway = serve_gateway(
         {"model": artifact_v1}, replicas=2, routing="least_loaded",
@@ -202,10 +110,25 @@ def _run_rollout(artifact_v1: str, artifact_v2: str, clients: int, per_client: i
         control = GatewayClient(gateway.url)
         control.predict("model", payloads[0])  # warm kernels off the clock
 
-        metrics = _drive_rollout(
-            gateway.url, "model", payloads, clients,
-            swap_fn=lambda: control.swap("model", artifact_v2),
+        # Halfway through the tape the model hot-swaps to v2; clients keep
+        # sending across the whole swap (see repro.loadgen.closed_loop).
+        load = drive_closed_loop(
+            [("model", p) for p in payloads], clients, gateway_sender(gateway.url),
+            during=lambda: control.swap("model", artifact_v2),
         )
+        swap_report = load.during
+        metrics = {
+            "requests": load.sent,
+            "completed": load.sent - load.failed,
+            "failed_requests": load.failed,
+            "failure_samples": load.failure_samples,
+            "overload_retries": load.overload_retries,
+            "elapsed_s": load.wall_s,
+            "swap_duration_s": swap_report["duration_s"],
+            "old_version": swap_report["old_version"],
+            "new_version": swap_report["new_version"],
+            "versions": load.versions,
+        }
 
         # Post-swap parity: HTTP reply vs direct engine on the new artifact.
         engine_v2 = IntegerEngine.load(
@@ -252,31 +175,9 @@ def _run_autoscale(artifact: str, clients: int, per_client: int) -> dict:
         sampler = threading.Thread(target=sample)
         sampler.start()
 
-        slices = [payloads[i::clients] for i in range(clients)]
-        retries = [0] * clients
-        errors = [0] * clients
-
-        def run_client(idx: int) -> None:
-            c = GatewayClient(gateway.url)
-            for p in slices[idx]:
-                while True:
-                    try:
-                        c.predict("model", p)
-                        break
-                    except GatewayOverloaded:
-                        retries[idx] += 1
-                        time.sleep(0.002)
-                    except Exception:  # noqa: BLE001 - count, keep driving
-                        errors[idx] += 1
-                        break
-
-        threads = [threading.Thread(target=run_client, args=(i,)) for i in range(clients)]
-        t_start = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        load_s = time.perf_counter() - t_start
+        load = drive_closed_loop(
+            [("model", p) for p in payloads], clients, gateway_sender(gateway.url)
+        )
 
         # Load gone: wait for the scale-down leg back to the floor.
         deadline = time.perf_counter() + 30.0
@@ -296,10 +197,10 @@ def _run_autoscale(artifact: str, clients: int, per_client: int) -> dict:
     max_replicas = max((n for _, n in timeline), default=1)
     return {
         "policy": policy,
-        "requests": len(payloads),
-        "client_errors": sum(errors),
-        "overload_retries": sum(retries),
-        "load_step_s": load_s,
+        "requests": load.requests,
+        "client_errors": load.failed,
+        "overload_retries": load.overload_retries,
+        "load_step_s": load.wall_s,
         "max_replicas_reached": max_replicas,
         "final_replicas": final_replicas,
         "scale_ups": scaler_stats["scale_ups"],
@@ -361,77 +262,24 @@ def _run_chaos(artifact_v1: str, artifact_v2: str) -> dict:
             max_attempts=8, backoff_base_s=0.01, backoff_max_s=0.25,
             retry_statuses=(429, 500, 503), seed=7,
         )
-        slices = [payloads[i::clients] for i in range(clients)]
-        lock = threading.Lock()
-        observed: dict[str, int] = {}
-        failures: list[str] = []
-        completed = [0]
-        window_requests = [0]
-        halfway = threading.Event()
-        swap_done = threading.Event()
-        swap_result: dict = {}
 
-        def send_one(client: GatewayClient, p) -> bool:
-            """One closed-loop request; True once it resolves (or fails)."""
-            while True:
-                try:
-                    body = client.predict("model", p, raw=True)
-                    with lock:
-                        observed[body["version"]] = (
-                            observed.get(body["version"], 0) + 1
-                        )
-                    return True
-                except GatewayOverloaded:
-                    time.sleep(0.002)  # retries exhausted on 429s only
-                except Exception as exc:  # noqa: BLE001 - a chaos failure
-                    with lock:
-                        failures.append(f"{type(exc).__name__}: {exc}")
-                        halfway.set()  # never deadlock the swap trigger
-                    return False
-
-        def run_client(idx: int) -> None:
-            client = GatewayClient(gateway.url, retry=retry)
-            for p in slices[idx]:
-                ok = send_one(client, p)
-                with lock:
-                    completed[0] += ok
-                    if completed[0] >= total // 2:
-                        halfway.set()
-            # Tape done: keep offering traffic while the canary window is
-            # open, so the canary arm actually serves a live slice (the
-            # judged error/latency/drift comparison sees real requests).
-            k = 0
-            while not swap_done.wait(0.002):
-                with lock:
-                    window_requests[0] += 1
-                send_one(client, slices[idx][k % len(slices[idx])])
-                k += 1
-
-        def run_swap() -> None:
+        def canary_swap() -> dict:
             # Blocks through the canary window while client traffic flows.
             try:
-                swap_result.update(control.swap(
+                return control.swap(
                     "model", artifact_v2,
                     canary=canary_policy, fault_plan=canary_plan.as_dict(),
-                ))
+                )
             except Exception as exc:  # noqa: BLE001 - recorded, asserted on
-                swap_result["error"] = f"{type(exc).__name__}: {exc}"
-            finally:
-                swap_done.set()
+                return {"error": f"{type(exc).__name__}: {exc}"}
 
-        threads = [
-            threading.Thread(target=run_client, args=(i,)) for i in range(clients)
-        ]
-        start = time.perf_counter()
-        for t in threads:
-            t.start()
-        halfway.wait(timeout=120.0)
-        swap_thread = threading.Thread(target=run_swap, name="chaos-canary")
-        swap_thread.start()
-        swap_thread.join()
-        for t in threads:
-            t.join()
-        elapsed = time.perf_counter() - start
+        # Clients that finish their slice keep offering traffic while the
+        # canary window is open, so the canary arm serves a live slice.
+        load = drive_closed_loop(
+            [("model", p) for p in payloads], clients,
+            gateway_sender(gateway.url, retry=retry), during=canary_swap,
+        )
+        swap_result = load.during
 
         # The supervisor must put the crashed replica's replacement back
         # into routing: poll /stats until the pool reports full health.
@@ -458,15 +306,15 @@ def _run_chaos(artifact_v1: str, artifact_v2: str) -> dict:
     canary_version = swap_result.get("new_version", "")
     return {
         "requests": total,
-        "completed": completed[0],
-        "window_requests": window_requests[0],
-        "failed_requests": len(failures),
-        "failure_samples": failures[:5],
-        "elapsed_s": elapsed,
-        "versions": observed,
+        "completed": load.completed,
+        "window_requests": load.reoffered,
+        "failed_requests": load.failed,
+        "failure_samples": load.failure_samples,
+        "elapsed_s": load.wall_s,
+        "versions": load.versions,
         "old_version": old_version,
         "canary_version": canary_version,
-        "canary_served": observed.get(canary_version, 0),
+        "canary_served": load.versions.get(canary_version, 0),
         "swap_outcome": swap_result.get("outcome", swap_result.get("error", "missing")),
         "rollback_reasons": (swap_result.get("canary") or {}).get("reasons", []),
         "canary_requests": (swap_result.get("canary") or {}).get("requests", 0),

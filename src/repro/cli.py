@@ -329,19 +329,10 @@ def _print_backend_report() -> None:
         print(f"  {name}: {detail}")
 
 
-def synthetic_payloads(
-    task: str | None, arch: dict, input_shape, count: int, seed: int = 0
-) -> list:
-    """Back-compat alias: the implementation lives in
-    :func:`repro.serve.runners.synthetic_payloads` (the registry's swap
-    warm-up probe needs it without importing the CLI)."""
-    from repro.serve.runners import synthetic_payloads as impl
-
-    return impl(task, arch, input_shape, count, seed)
-
-
 def _synthetic_payloads(engine, count: int, seed: int = 0) -> list:
     """Synthesize single-request payloads matching the artifact's task."""
+    from repro.serve.runners import synthetic_payloads
+
     model_meta = engine.manifest["model"]
     return synthetic_payloads(
         model_meta.get("task"),
@@ -473,15 +464,16 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.deploy import ArtifactError
+    from repro.loadgen import drive_closed_loop, gateway_sender
     from repro.serve import (
         AutoscalePolicy,
         GatewayClient,
         GatewayHTTPError,
-        GatewayOverloaded,
         HealthPolicy,
         RetryPolicy,
         serve_gateway,
     )
+    from repro.serve.runners import synthetic_payloads
 
     models = _parse_model_specs(args.model)
     swaps = _parse_model_specs(args.swap or [], flag="--swap")
@@ -575,69 +567,39 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                 print("\nshutting down (draining queues)")
             return 0
 
-        # Self-traffic smoke: drive every model over real HTTP; with
-        # --swap this becomes a scripted rollout — half the traffic on
-        # the old version, a hot swap, the rest on the new one. A
-        # --canary swap blocks through its observation window, so it
-        # runs on a side thread while the traffic it observes flows.
+        # Self-traffic smoke: one closed-loop client per model over real
+        # HTTP (repro.loadgen.closed_loop). With --swap the rollout is the
+        # ``during`` action: it fires once half the model's
+        # requests resolve, and traffic keeps flowing until it returns (a
+        # --canary swap blocks through the window that judges it).
         retry = RetryPolicy(max_attempts=args.retries + 1) if args.retries else None
-        client = GatewayClient(gateway.url, retry=retry)
-        rejected = 0
-        dropped = 0
-        versions: dict[str, dict[str, int]] = {}
-        swap_threads: list[threading.Thread] = []
-        swap_results: dict[str, dict] = {}
+        client = GatewayClient(gateway.url)
+        swap_options = {}
+        if canary is not None:
+            swap_options["canary"] = canary
+        if fault_plan is not None:
+            swap_options["fault_plan"] = fault_plan
 
-        def _do_swap(name: str, target: str) -> None:
-            body = {}
-            if canary is not None:
-                body["canary"] = canary
-            if fault_plan is not None:
-                body["fault_plan"] = fault_plan
+        def _swap(name: str) -> dict:
             try:
-                swap_results[name] = client.swap(name, target, **body)
+                return client.swap(name, swaps[name], **swap_options)
             except GatewayHTTPError as exc:
-                swap_results[name] = {"error": str(exc)}
+                return {"error": str(exc)}
 
+        loads = {}
         for entry in gateway.registry.models():
             payloads = synthetic_payloads(
                 entry.task, entry.arch, entry.input_shape, args.requests
             )
-            swap_at = len(payloads) // 2 if entry.name in swaps else None
-            for i, p in enumerate(payloads):
-                if swap_at is not None and i == swap_at:
-                    if canary is not None:
-                        t = threading.Thread(
-                            target=_do_swap, args=(entry.name, swaps[entry.name]),
-                            name=f"rollout-{entry.name}",
-                        )
-                        t.start()
-                        swap_threads.append(t)
-                    else:
-                        _do_swap(entry.name, swaps[entry.name])
-                        report = swap_results[entry.name]
-                        if "error" in report:
-                            raise SystemExit(f"rollout failed: {report['error']}")
-                        print(
-                            f"rollout: {entry.name} {report['old_version']} -> "
-                            f"{report['new_version']} in {report['duration_s']:.3f}s"
-                        )
-                try:
-                    body = client.predict(entry.name, p, raw=True)
-                    hist = versions.setdefault(entry.name, {})
-                    hist[body["version"]] = hist.get(body["version"], 0) + 1
-                except GatewayOverloaded:
-                    rejected += 1
-                except GatewayHTTPError as exc:
-                    # 503 = a crash casualty or a downed pool mid-recovery;
-                    # retryable by contract, so a chaos drive without
-                    # --retries counts it rather than dying on it.
-                    if exc.status != 503:
-                        raise
-                    dropped += 1
-        for t in swap_threads:
-            t.join()
-        for name, report in swap_results.items():
+            loads[entry.name] = drive_closed_loop(
+                [(entry.name, p) for p in payloads], 1,
+                gateway_sender(gateway.url, retry=retry),
+                during=(lambda n=entry.name: _swap(n)) if entry.name in swaps else None,
+            )
+        for name, load in loads.items():
+            report = load.during
+            if report is None:
+                continue
             if "error" in report:
                 raise SystemExit(f"rollout failed: {report['error']}")
             if report.get("outcome") == "rolled_back":
@@ -646,10 +608,10 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                     f"rollout: {name} canary {report['new_version']} rolled back, "
                     f"{report['old_version']} keeps serving ({reasons})"
                 )
-            elif canary is not None:
+            else:
                 print(
-                    f"rollout: {name} {report['old_version']} -> "
-                    f"{report['new_version']} (canary promoted) in "
+                    f"rollout: {name} {report['old_version']} -> {report['new_version']}"
+                    f"{' (canary promoted)' if canary is not None else ''} in "
                     f"{report['duration_s']:.3f}s"
                 )
         stats = client.stats()
@@ -660,7 +622,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                 f"p99 {s['latency_ms_p99']:.2f} ms  {s['requests_per_s']:.1f} req/s"
             )
             if name in swaps:
-                print(f"  versions served: {versions.get(name, {})}")
+                print(f"  versions served: {loads[name].versions}")
             scaler = s.get("autoscaler")
             if scaler:
                 print(
@@ -670,10 +632,19 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         if "cache" in stats:
             c = stats["cache"]
             print(f"cache: {c['hits']} hits / {c['misses']} misses, {c['entries']} entries")
-        if rejected:
-            print(f"client saw {rejected} 429s")
-        if dropped:
-            print(f"client saw {dropped} retryable 503s (use --retries N to absorb)")
+        # drive_closed_loop retries 429s; a 503 (a crash casualty or a pool
+        # mid-recovery) is retryable by contract, so a drive without
+        # --retries counts it. Any other failure fails the command.
+        retried = sum(load.overload_retries for load in loads.values())
+        unavailable = sum(load.errors_by_class.get("unavailable", 0) for load in loads.values())
+        print(
+            f"client: {retried} 429s retried, {unavailable} retryable 503s "
+            "(--retries N absorbs them)"
+        )
+        failed = sum(load.failed for load in loads.values()) - unavailable
+        if failed:
+            samples = [m for load in loads.values() for m in load.failure_samples]
+            raise SystemExit(f"self-traffic: {failed} requests failed: {samples}")
 
         if args.require_metrics:
             missing = _missing_metric_families(

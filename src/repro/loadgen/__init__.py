@@ -1,6 +1,6 @@
-"""Trace-driven load generation and open-loop replay.
+"""Trace-driven load generation, open-loop replay and closed-loop load.
 
-Three layers, importable separately:
+Four layers, importable separately:
 
 - :mod:`repro.loadgen.trace` — the ``repro-trace/v1`` JSONL format plus
   rate analysis (mean/peak arrival rates over sliding windows).
@@ -10,12 +10,20 @@ Three layers, importable separately:
 - :mod:`repro.loadgen.replay` — fires a trace at a live gateway at its
   scheduled wall-clock instants, thread-per-inflight, recording
   per-request latency, lateness, queue depth, and error class.
+- :mod:`repro.loadgen.closed_loop` — the one closed-loop load generator: a fixed
+  set of clients, each sending its next request when the last one
+  answers, with a shared overload-retry and failure-counting rule.
 
 The capacity planner (:mod:`repro.plan`) consumes traces from here and
 is validated against replay measurements by ``benchmarks/bench_replay.py``.
 See ``docs/capacity.md`` for the format spec and the planner model.
 """
 
+from repro.loadgen.closed_loop import (
+    ClosedLoopReport,
+    drive_closed_loop,
+    gateway_sender,
+)
 from repro.loadgen.generators import (
     GENERATORS,
     bursty_trace,
@@ -72,4 +80,7 @@ __all__ = [
     "write_replay_log",
     "ReplayReport",
     "RequestRecord",
+    "ClosedLoopReport",
+    "drive_closed_loop",
+    "gateway_sender",
 ]

@@ -12,10 +12,10 @@ A :class:`repro.quant.qlayers.QuantizedLayer` owns *what* to quantize (its
     The true integer datapath of :mod:`repro.quant.integer_exec` (Eq. 5):
     dynamic activation quantization into N-bit codes + M-bit per-vector
     scales, integer GEMMs, fp coarse scales applied once. Weight codes
-    are scale-folded once at prepare time; convolutions use the fused
-    NCHW quantize+fold when channels align with the vector size. With the
-    ``scale_product_bits`` hardware rounding knob set, the weights stay
-    unfolded and the per-vector rounding path runs instead.
+    are scale-folded once at prepare time; activations are quantized by
+    :func:`~repro.quant.integer_exec.quantize_tensor` and folded per call.
+    With the ``scale_product_bits`` hardware rounding knob set, the
+    weights stay unfolded and the per-vector rounding path runs instead.
 ``compiled``
     ``integer`` with each linear and conv layer's quantize/GEMM/epilogue
     pipeline lowered to one fused C kernel, compiled at runtime with the
@@ -41,7 +41,6 @@ from repro.quant.granularity import Granularity, VectorLayout
 from repro.quant.integer_exec import (
     QuantizedTensor,
     exact_gemm_dtype,
-    fold_quantize_conv_nchw,
     integer_conv2d,
     integer_conv2d_folded,
     integer_linear,
@@ -218,13 +217,14 @@ def _require_integer_spec(layer, role: str, spec: QuantSpec | None) -> QuantSpec
 class IntegerBackend(ExecutionBackend):
     """True integer execution (Eq. 5) with dynamic activation quantization.
 
-    Weight codes are scale-folded **once** at prepare time; convolutions
-    take the fused NCHW quantize+fold entry when the activation vectors
-    are whole channel blocks. A layer with ``scale_product_bits`` set
-    keeps its weights unfolded instead (folding distributes the integer
-    per-vector scales into the codes, which is exactly what the rounding
-    knob perturbs) and runs :func:`~repro.quant.integer_exec.integer_linear`
-    / :func:`~repro.quant.integer_exec.integer_conv2d`.
+    Weight codes are scale-folded **once** at prepare time; activations
+    go through :func:`~repro.quant.integer_exec.quantize_tensor` and are
+    folded per call, for linear and conv alike. A layer with
+    ``scale_product_bits`` set keeps its weights unfolded instead (folding
+    distributes the integer per-vector scales into the codes, which is
+    exactly what the rounding knob perturbs) and runs
+    :func:`~repro.quant.integer_exec.integer_linear` /
+    :func:`~repro.quant.integer_exec.integer_conv2d`.
     """
 
     name = "integer"
@@ -272,13 +272,6 @@ class IntegerBackend(ExecutionBackend):
             K, -1
         )
         layer._gamma_w = np.asarray(wq.gamma).reshape(K)
-        # Fused NCHW quantize+fold: channel vectors must tile C exactly.
-        layer._fused_nchw = (
-            spec.kind == "conv2d"
-            and layer.out_dtype is not None
-            and layer._act_layout.axis == 1
-            and layer.in_channels % layer._act_layout.vector_size == 0
-        )
 
     # -- input handling -------------------------------------------------
     def _input_array(self, layer, x) -> np.ndarray:
@@ -353,21 +346,10 @@ class IntegerBackend(ExecutionBackend):
                 out_dtype=layer.out_dtype,
             )
         else:
-            if layer._fused_nchw:
-                xf, gamma_x = fold_quantize_conv_nchw(
-                    self._input_array(layer, x),
-                    layer._act_layout.vector_size,
-                    layer._act_fmt,
-                    layer._act_scale_fmt,
-                    layer.per_sample_scale,
-                    layer._code_dtype,
-                )
-            else:
-                xq = self._quantize_input(layer, x)
-                xf, gamma_x = self._fold(layer, xq), xq.gamma
+            xq = self._quantize_input(layer, x)
             out = integer_conv2d_folded(
-                xf,
-                gamma_x,
+                self._fold(layer, xq),
+                xq.gamma,
                 self._conv_weights(layer),
                 layer._gamma_w,
                 layer.kernel_size,

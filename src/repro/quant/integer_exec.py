@@ -106,43 +106,6 @@ def quantize_tensor(
     )
 
 
-def fold_quantize_conv_nchw(
-    x: np.ndarray,
-    vector_size: int,
-    fmt: IntFormat,
-    scale_fmt: IntFormat,
-    per_sample: bool,
-    fold_dtype: type,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Serving fast path: quantize + scale-fold an NCHW activation in place.
-
-    Requires ``C % vector_size == 0`` (vectors are contiguous channel
-    blocks, so no transposed copy of the input is needed — the only layout
-    change is the final fused write into the (B, H, W, C) array the im2col
-    GEMM consumes). Produces exactly the folded operand
-    ``codes * sq`` that :func:`integer_conv2d`'s fast path would build from
-    a :func:`quantize_tensor` result, plus the coarse gamma (per-sample
-    ``(B, 1, 1, 1)`` or per-tensor).
-    """
-    B, C, H, W = x.shape
-    nv = C // vector_size
-    xr = x.reshape(B, nv, vector_size, H, W)
-    absmax = np.maximum(xr.max(axis=2), -xr.min(axis=2))  # (B, nv, H, W)
-    s = np.maximum(absmax / fmt.qmax, 1e-12)  # scale_from_absmax
-    sq_qmax = 2**scale_fmt.bits - 1
-    axes = (1, 2, 3) if per_sample else (0, 1, 2, 3)
-    gamma = np.maximum(s.max(axis=axes, keepdims=True) / sq_qmax, 1e-30)
-    sq = np.clip(np.rint(s / gamma), 0, sq_qmax)
-    codes = xr / s[:, :, None]
-    np.rint(codes, out=codes)
-    # Clip is load-bearing for unsigned formats: the absmax scale covers the
-    # magnitude of negative inputs, but their codes must clamp to qmin=0.
-    np.clip(codes, fmt.qmin, fmt.qmax, out=codes)
-    folded = np.empty((B, H, W, C), dtype=fold_dtype)
-    np.multiply(codes, sq[:, :, None], out=folded.transpose(0, 3, 1, 2).reshape(xr.shape))
-    return folded, gamma
-
-
 def _im2col_cols(
     xf: np.ndarray, R: int, S: int, stride: int, padding: int
 ) -> tuple[np.ndarray, int, int, int]:
@@ -216,10 +179,10 @@ def integer_conv2d_folded(
 ) -> np.ndarray:
     """im2col GEMM over pre-folded conv operands (the serving hot loop).
 
-    ``xf``: (B, H, W, C) folded activation codes (from
-    :func:`fold_quantize_conv_nchw` or a folded :func:`quantize_tensor`
-    result); ``wf``: (K, R*S*C) folded weight codes; ``kernel_size`` is an
-    int for square kernels or an ``(R, S)`` pair. Equivalent to
+    ``xf``: (B, H, W, C) folded activation codes (a folded
+    :func:`quantize_tensor` result); ``wf``: (K, R*S*C) folded weight
+    codes; ``kernel_size`` is an int for square kernels or an ``(R, S)``
+    pair. Equivalent to
     :func:`integer_conv2d` with ``scale_product_bits=None`` — same exact
     integer accumulators, same scaling order — minus the per-call folds.
     """
@@ -396,24 +359,3 @@ def integer_conv2d(
             product = round_scale_product(product, full_bits, scale_product_bits)
             acc += (dot * product).sum(axis=-1)
     return _nchw(acc, x.gamma, w.gamma, out_dtype)
-
-
-def fake_quant_linear_reference(
-    x_real: np.ndarray,
-    w_real: np.ndarray,
-    vector_size: int,
-    fmt: IntFormat,
-    scale_fmt: IntFormat,
-) -> np.ndarray:
-    """Float-side reference: fake-quantize operands, then a real matmul.
-
-    ``integer_linear`` must match this bit-exactly when no scale-product
-    rounding is applied — the equivalence test of Eq. 5 vs Eq. 7j.
-    """
-    from repro.quant.two_level import fake_quant_two_level
-
-    xl = VectorLayout(axis=-1, vector_size=vector_size)
-    wl = VectorLayout(axis=1, vector_size=vector_size)
-    xq = fake_quant_two_level(x_real, xl, fmt, scale_fmt, channel_axes=())
-    wq = fake_quant_two_level(w_real, wl, fmt, scale_fmt, channel_axes=(0,))
-    return xq @ wq.T

@@ -4,7 +4,8 @@ Three measurements over the same request set, the standard framing for
 dynamic-batching systems (one fixed production server, varying load):
 
 ``single_stream``
-    Sequential single-request serving: one closed-loop client against the
+    Sequential single-request serving: one closed-loop client
+    (:func:`~repro.loadgen.closed_loop.drive_closed_loop`) against the
     production server. Each lone request pays the batcher's coalescing
     window plus a batch-of-1 forward — the latency cost dynamic batching
     trades away.
@@ -27,14 +28,6 @@ from __future__ import annotations
 import time
 
 from repro.serve.server import InferenceServer, ServeStats
-
-
-def _single_stream(server: InferenceServer, payloads: list) -> float:
-    """One closed-loop client: send, wait for the reply, send the next."""
-    start = time.perf_counter()
-    for p in payloads:
-        server.infer(p)
-    return time.perf_counter() - start
 
 
 def _open_loop(server: InferenceServer, payloads: list) -> float:
@@ -76,8 +69,15 @@ def throughput_comparison(
             max_queue=max(n, 8),
         )
 
+    # Imported here: repro.loadgen imports repro.serve.client, and the
+    # repro.serve package imports this module.
+    from repro.loadgen.closed_loop import drive_closed_loop
+
     with production_server() as server:
-        seq_s = _single_stream(server, payloads)
+        single = drive_closed_loop(payloads, 1, lambda: server.infer)
+    if single.failed:
+        raise RuntimeError(f"single-stream requests failed: {single.failure_samples}")
+    seq_s = single.wall_s
     with production_server() as server:
         dyn_s = _open_loop(server, payloads)
         dyn_stats: ServeStats = server.stats()

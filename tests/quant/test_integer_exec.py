@@ -8,16 +8,29 @@ from hypothesis import strategies as st
 from repro.quant import IntFormat, VectorLayout
 from repro.quant.integer_exec import (
     QuantizedTensor,
-    fake_quant_linear_reference,
     integer_linear,
     quantize_tensor,
     round_scale_product,
 )
+from repro.quant.two_level import fake_quant_two_level
 
 S4 = IntFormat(4, signed=True)
 S8 = IntFormat(8, signed=True)
 U4 = IntFormat(4, signed=False)
 U6 = IntFormat(6, signed=False)
+
+
+def fake_quant_linear_reference(x_real, w_real, vector_size, fmt, scale_fmt):
+    """Float-side reference: fake-quantize operands, then a real matmul.
+
+    ``integer_linear`` must match this bit-exactly when no scale-product
+    rounding is applied — the equivalence test of Eq. 5 vs Eq. 7j.
+    """
+    xl = VectorLayout(axis=-1, vector_size=vector_size)
+    wl = VectorLayout(axis=1, vector_size=vector_size)
+    xq = fake_quant_two_level(x_real, xl, fmt, scale_fmt, channel_axes=())
+    wq = fake_quant_two_level(w_real, wl, fmt, scale_fmt, channel_axes=(0,))
+    return xq @ wq.T
 
 
 class TestQuantizedTensor:
