@@ -24,7 +24,6 @@ from repro import nn
 from repro.deploy import IntegerEngine, save_artifact
 from repro.quant import PTQConfig, quantize_model
 from repro.serve import serve_artifact
-from repro.tensor import ops
 from repro.tensor.tensor import Tensor, no_grad
 
 
@@ -44,7 +43,9 @@ class CustomCNN(nn.Module):
         self.head = nn.Linear(32, num_classes, rng=rng)
 
     def forward(self, x):
-        out = ops.relu(self.bn(self.stem(x)))
+        # Under the compiled backend the stem's conv kernel applies its
+        # bias, this BatchNorm and the ReLU in one output pass.
+        out = nn.conv_bn(self.stem, self.bn, x, relu=True)
         return self.head(self.pool(self.body(out)))
 
 

@@ -616,9 +616,11 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                 )
         stats = client.stats()
         for name, s in stats["models"].items():
+            # Lifetime counters: the top-level ones restart at a hot swap.
+            c = s["cumulative"]
             print(
-                f"{name}: {s['completed']} ok, {s['errors']} errored, "
-                f"{s['rejected']} rejected  p50 {s['latency_ms_p50']:.2f} ms  "
+                f"{name}: {c['completed']} ok, {c['errors']} errored, "
+                f"{c['rejected']} rejected  p50 {s['latency_ms_p50']:.2f} ms  "
                 f"p99 {s['latency_ms_p99']:.2f} ms  {s['requests_per_s']:.1f} req/s"
             )
             if name in swaps:

@@ -56,7 +56,7 @@ from repro.quant.backends import (
 )
 from repro.quant.granularity import Granularity
 from repro.quant.quantizer import Quantizer, QuantSpec, ScaleKind
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, as_tensor
 from repro.utils.dtypes import resolve_dtype
 from repro.utils.parallel import split_samples
 
@@ -109,7 +109,7 @@ def _operand_type(fold_max: int) -> str:
 
 
 _LINEAR_ARGS = [ctypes.c_void_p] * 5 + [ctypes.c_longlong] * 2
-_CONV_ARGS = [ctypes.c_void_p] * 5 + [ctypes.c_longlong] * 13
+_CONV_ARGS = [ctypes.c_void_p] * 8 + [ctypes.c_longlong] * 14
 
 
 class CompiledBackend(IntegerBackend):
@@ -147,6 +147,9 @@ class CompiledBackend(IntegerBackend):
     def compiles(layer) -> bool:
         """Whether ``layer`` holds a kernel plan (else it runs numpy)."""
         return getattr(layer, "_compiled", None) is not None
+
+    def fuses_output_pass(self, layer) -> bool:
+        return layer.spec.kind == "conv2d" and self.compiles(layer)
 
     def _settings(self, layer) -> dict | None:
         """The output-side settings both kernels share, or ``None``."""
@@ -334,7 +337,27 @@ class CompiledBackend(IntegerBackend):
         layer.last_output_shape = out.shape
         return Tensor(out)
 
-    def run_conv2d(self, layer, x) -> Tensor:
+    @staticmethod
+    def _output_pass(post, out_np: np.dtype, shape: tuple) -> tuple | None:
+        """The kernel's ``(scale, shift, residual)`` arrays for ``post``
+        (an :class:`~repro.nn.norm.OutputPass`), or ``None`` when they
+        are not all C-contiguous in the output dtype and shape (then
+        numpy applies ``post`` to the kernel's plain output)."""
+        scale, shift = (t.data.reshape(-1) for t in post.bn.eval_affine())
+        residual = None if post.residual is None else as_tensor(post.residual).data
+        arrays = [a for a in (scale, shift, residual) if a is not None]
+        if not all(a.dtype == out_np and a.flags.c_contiguous for a in arrays):
+            return None
+        if scale.shape != (shape[1],) or shift.shape != (shape[1],) or (
+            residual is not None and residual.shape != shape
+        ):
+            return None
+        return scale, shift, residual
+
+    def run_conv2d(self, layer, x, post=None) -> Tensor:
+        """The conv kernel; ``post`` (from :func:`repro.nn.conv_bn`) is
+        applied in the kernel's output pass when its arrays allow it,
+        and by numpy on the kernel's output otherwise."""
         state = layer._compiled
         data = self._input_array(layer, x)
         sdt = resolve_dtype(data)
@@ -349,7 +372,8 @@ class CompiledBackend(IntegerBackend):
             or _ctype(data.dtype) is None
             or _ctype(sdt) is None
         ):
-            return super().run_conv2d(layer, x)
+            out = super().run_conv2d(layer, x)
+            return out if post is None else post(out)
         data = np.ascontiguousarray(data)
         B, C, H, W = data.shape
         K = layer.out_channels
@@ -358,19 +382,28 @@ class CompiledBackend(IntegerBackend):
         fn = self._kernel(layer, state, data.dtype, sdt, self._epilogue_ps(layer, state, B))
         out = np.empty((B, K, P, Q), dtype=state.out_np)
         afmt = layer._act_fmt
+        arrays = None if post is None else self._output_pass(post, state.out_np, out.shape)
+        scale, shift, residual = arrays or (None, None, None)
+        relu = arrays is not None and post.relu
+
+        def ptr(a: np.ndarray | None):
+            return a.ctypes.data if a is not None else None
 
         def run(lo: int, hi: int) -> None:
             self._check(layer, fn(
                 data[lo:hi].ctypes.data, layer._wf.ctypes.data, layer._gamma_w.ctypes.data,
-                state.bias.ctypes.data if state.bias is not None else None,
+                ptr(state.bias), ptr(scale), ptr(shift),
+                ptr(residual if residual is None else residual[lo:hi]),
                 out[lo:hi].ctypes.data, hi - lo, C, H, W, K, R, S, stride, pad,
                 layer._act_layout.vector_size, int(afmt.qmin), int(afmt.qmax), state.asqmax,
+                int(relu),
             ))
 
         self._run_samples(layer, run, B)
         layer.last_macs = B * K * P * Q * C * R * S
         layer.last_output_shape = out.shape
-        return Tensor(out)
+        out = Tensor(out)
+        return post(out) if post is not None and arrays is None else out
 
 
 register_backend(CompiledBackend())

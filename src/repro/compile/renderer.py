@@ -12,7 +12,12 @@ Every layer the compiled backend lowers runs the same fixed pipeline::
 so a :class:`KernelSpec` (dtypes, integer formats, baked geometry, the
 per-sample and bias flags) is the whole description of a linear kernel,
 and a :class:`ConvSpec` (dtypes and flags only; geometry and formats are
-runtime arguments) of a conv kernel. The linear renderer emits one
+runtime arguments) of a conv kernel. A conv call may add an output
+pass, also passed at run time::
+
+    [-> * bn_scale] [-> + bn_shift] [-> + residual] [-> relu]
+
+The linear renderer emits one
 self-contained C translation unit exporting::
 
     int repro_kernel(const void *x, const void *wf, const double *gw,
@@ -35,7 +40,8 @@ before it selects the operand types in the spec). No ``-ffast-math``.
 The prologue (quantize/clamp/fold) is ONE pass over the input after the
 absmax reduction, and the coarse scales are applied inside the GEMM's
 output write, so the accumulator is finished while still in a register.
-The bias is added in a pass of its own (:func:`_bias_pass`).
+The bias is added in a pass of its own (:func:`_bias_pass`), and the conv
+output pass (:func:`_output_pass`) multiplies in a pass of its own too.
 """
 
 from __future__ import annotations
@@ -159,6 +165,40 @@ def _bias_pass(spec: _GemmSpec, loops: tuple[tuple[str, str], ...], index: str,
              for d, (v, n) in enumerate(loops)]
     lines.append(f"{indent}{'    ' * len(loops)}out[{index}] += bias[k];")
     return "\n".join(lines)
+
+
+def _output_pass(o: str) -> str:
+    """Finish one sample's ``(K, PQ)`` conv outputs (``out``) with the
+    runtime post-ops :func:`repro.nn.conv_bn` hands the kernel:
+    ``* scale[k]``, ``+ shift[k]``, ``+ res[...]``, then ReLU, each
+    skipped when its pointer (or the ``RELU`` flag) is zero.
+
+    Every op rounds on its own, in numpy's order, over a row still in
+    L1. The multiply gets a loop of its own, so ``-O3`` cannot contract
+    it with the adds into one FMA (the hazard :func:`_bias_pass`
+    documents); the adds and the ReLU share the second loop, whose
+    invariant branches the compiler unswitches. The ReLU is
+    ``np.maximum(v, 0.0)`` bit for bit: a NaN passes through and
+    ``-0.0`` becomes ``+0.0``.
+    """
+    return f"""\
+        for (long long k = 0; k < K; k++) {{
+            {o} *ok = out + k * PQ;
+            if (scale) {{
+                const {o} sk = scale[k];
+                for (long long i = 0; i < PQ; i++) ok[i] *= sk;
+            }}
+            if (!shift && !res && !RELU) continue;
+            const {o} hk = shift ? shift[k] : 0;
+            const {o} *rk = res ? res + (b * K + k) * PQ : ok;
+            for (long long i = 0; i < PQ; i++) {{
+                {o} v = ok[i];
+                if (shift) v += hk;
+                if (res) v += rk[i];
+                if (RELU) v = v <= 0 ? 0 : v;
+                ok[i] = v;
+            }}
+        }}"""
 
 
 @dataclass(frozen=True)
@@ -519,19 +559,23 @@ def render_conv(spec: ConvSpec) -> str:
     """Lower a :class:`ConvSpec` to a C translation unit exporting::
 
         int repro_conv(const void *x, const void *wk, const double *gw,
-                       const void *bias, void *out, long long B,
-                       long long C, long long H, long long W, long long K,
-                       long long R, long long S, long long stride,
-                       long long pad, long long V, long long qmin,
-                       long long qmax, long long sqmax);
+                       const void *bias, const void *scale,
+                       const void *shift, const void *res, void *out,
+                       long long B, long long C, long long H, long long W,
+                       long long K, long long R, long long S,
+                       long long stride, long long pad, long long V,
+                       long long qmin, long long qmax, long long sqmax,
+                       long long relu);
 
     ``x`` is the C-contiguous NCHW input, ``wk`` the folded weights
     laid out ``(R, S, C, KP)`` with ``KP`` the output channels rounded
     up to :data:`CONV_KB` (zero columns), ``gw``/``bias`` as in
     :func:`render`, and ``out`` the C-contiguous ``(B, K, P, Q)`` output.
     ``V``/``qmin``/``qmax``/``sqmax`` are the activation vector size,
-    code bounds and per-vector scale max. Returns 0, or 1 on
-    scratch-allocation failure.
+    code bounds and per-vector scale max. ``scale``/``shift`` (``K``
+    values each), ``res`` (shaped like ``out``) and ``relu`` are the
+    optional output pass (:func:`_output_pass`); NULL or 0 skips a
+    step. Returns 0, or 1 on scratch-allocation failure.
 
     Per sample, the prologue writes the folded codes ``codes * sq`` into
     a zero-padded NHWC tile, so the GEMM reads each window row's
@@ -565,15 +609,19 @@ typedef {t} vec __attribute__((vector_size(64)));
 typedef {t} uvec __attribute__((vector_size(64), aligned(sizeof({t}))));
 
 int repro_conv(const void *x_, const void *wk_, const double *gw,
-               const void *bias_, void *out_,
+               const void *bias_, const void *scale_, const void *shift_,
+               const void *res_, void *out_,
                long long NB, long long C, long long H, long long W,
                long long K, long long R, long long S,
                long long stride, long long pad,
-               long long V, long long QMIN, long long QMAX, long long SQMAX)
+               long long V, long long QMIN, long long QMAX, long long SQMAX,
+               long long RELU)
 {{
     const {spec.xin} *x = (const {spec.xin} *)x_;
     const {t} *wk = (const {t} *)wk_;
     const {o} *bias = (const {o} *)bias_;
+    const {o} *scale = (const {o} *)scale_, *shift = (const {o} *)shift_;
+    const {o} *res = (const {o} *)res_;
     {o} *out_all = ({o} *)out_;
     const long long N = H * W, rows = NB, NV = (C + V - 1) / V;
     const long long Hp = H + 2 * pad, Wp = W + 2 * pad;
@@ -613,6 +661,7 @@ int repro_conv(const void *x_, const void *wk_, const double *gw,
 {_conv_block(t, 2, epi)}
 {_conv_block(t, 1, epi)}
 {_bias_pass(spec, (("k", "K"), ("i", "PQ")), "k * PQ + i", "        ")}
+{_output_pass(o)}
     }}
     free(sv); free(gamma); free(qv); free(tile); free(pix); free(win);
     return 0;

@@ -17,16 +17,18 @@ execution backend (:mod:`repro.quant.backends`) that
 Backends are selected **once per model at load**: ``auto`` serves
 ``compiled`` (fused C linear and conv kernels over the ``integer``
 numpy path, :mod:`repro.compile`) when the C toolchain probe passes and
-``integer`` (weights scale-folded once at load; fused NCHW
-quantize+fold when channel vectors align) otherwise. Scale-product
-rounding forces ``integer``. The two are bitwise identical. Under
-``compiled`` the attention operands (q, k, probs, v) also quantize in
-one C kernel (:class:`~repro.compile.backend.CompiledQuantizer`),
-bitwise equal to the numpy :class:`~repro.quant.quantizer.Quantizer`
-``integer`` keeps.
+``integer`` (weights scale-folded once at load; activations quantized
+and folded per call) otherwise. Scale-product rounding forces
+``integer``. The two are bitwise identical. Under ``compiled`` the
+attention operands (q, k, probs, v) also quantize in one C kernel
+(:class:`~repro.compile.backend.CompiledQuantizer`), bitwise equal to
+the numpy :class:`~repro.quant.quantizer.Quantizer` ``integer`` keeps.
 Everything outside the GEMMs — BatchNorm, LayerNorm, softmax, residual
 adds, pooling — runs in floating point, exactly as the paper's
-accelerator leaves non-MAC work to higher precision.
+accelerator leaves non-MAC work to higher precision. Under ``compiled``
+a conv's BatchNorm, residual add and ReLU (:func:`repro.nn.conv_bn`)
+run in that floating point too, inside the conv kernel's output pass,
+rounded step by step as numpy rounds them.
 
 Two serving-relevant knobs:
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import nn
-from repro.tensor import ops
 from repro.tensor.tensor import Tensor
 from repro.utils.rng import seeded_rng
 
@@ -33,10 +32,9 @@ class BasicBlock(nn.Module):
             self.proj_bn = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = ops.relu(self.bn1(self.conv1(x)))
-        out = self.bn2(self.conv2(out))
-        skip = x if self.proj is None else self.proj_bn(self.proj(x))
-        return ops.relu(out + skip)
+        out = nn.conv_bn(self.conv1, self.bn1, x, relu=True)
+        skip = x if self.proj is None else nn.conv_bn(self.proj, self.proj_bn, x)
+        return nn.conv_bn(self.conv2, self.bn2, out, residual=skip, relu=True)
 
 
 class MiniResNet(nn.Module):
@@ -73,7 +71,7 @@ class MiniResNet(nn.Module):
         self.head = nn.Linear(in_ch, num_classes, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = ops.relu(self.stem_bn(self.stem(x)))
+        out = nn.conv_bn(self.stem, self.stem_bn, x, relu=True)
         for block in self.blocks:
             out = block(out)
         return self.head(self.pool(out))

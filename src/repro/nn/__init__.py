@@ -10,7 +10,7 @@ from repro.nn.module import Module, Parameter, swap_modules
 from repro.nn.container import Sequential, ModuleList
 from repro.nn.linear import Linear
 from repro.nn.conv import Conv2d
-from repro.nn.norm import BatchNorm2d, LayerNorm
+from repro.nn.norm import BatchNorm2d, LayerNorm, conv_bn
 from repro.nn.activation import ReLU, GELU, Tanh, Identity
 from repro.nn.pooling import MaxPool2d, AvgPool2d, GlobalAvgPool2d
 from repro.nn.dropout import Dropout
@@ -29,6 +29,7 @@ __all__ = [
     "Conv2d",
     "BatchNorm2d",
     "LayerNorm",
+    "conv_bn",
     "ReLU",
     "GELU",
     "Tanh",

@@ -1,10 +1,14 @@
-"""Normalization layers: BatchNorm2d (running stats) and LayerNorm."""
+"""Normalization layers: BatchNorm2d (running stats) and LayerNorm, plus
+:func:`conv_bn`, the conv -> BatchNorm [-> + residual] [-> ReLU] step."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.nn.module import Module, Parameter
+from repro.tensor import ops
 from repro.tensor.tensor import Tensor, as_tensor, is_grad_enabled
 from repro.utils.parallel import map_samples
 
@@ -46,16 +50,7 @@ class BatchNorm2d(Module):
             w = self.weight.reshape(1, -1, 1, 1)
             b = self.bias.reshape(1, -1, 1, 1)
             return (x - mean) * inv * w + b
-        # Eval: running stats are constants, so fold the whole affine into
-        # one per-channel scale/shift pair — two passes over the activation
-        # instead of four (the serving engine's inference hot path). Keeps
-        # the weight/bias Tensors in the chain so QAT-style finetuning of a
-        # frozen-stats model still receives gradients.
-        inv = (Tensor(self.running_var.reshape(1, -1, 1, 1)) + self.eps) ** -0.5
-        scale = self.weight.reshape(1, -1, 1, 1) * inv
-        shift = self.bias.reshape(1, -1, 1, 1) - Tensor(
-            self.running_mean.reshape(1, -1, 1, 1)
-        ) * scale
+        scale, shift = self.eval_affine()
         if not is_grad_enabled():
             s, b = scale.data, shift.data
 
@@ -67,6 +62,63 @@ class BatchNorm2d(Module):
 
             return Tensor(map_samples(affine, as_tensor(x).data))
         return x * scale + shift
+
+    def eval_affine(self) -> tuple[Tensor, Tensor]:
+        """The eval-mode ``(scale, shift)``, each shaped ``(1, C, 1, 1)``,
+        with ``bn(x) == x * scale + shift`` (rounded in that order).
+
+        Running stats are constants, so the whole affine folds into one
+        per-channel pair: two passes over the activation instead of four
+        (the serving engine's inference hot path). The weight/bias
+        Tensors stay in the chain so QAT-style finetuning of a
+        frozen-stats model still receives gradients. The compiled conv
+        kernel applies the same pair in its output pass (:func:`conv_bn`).
+        """
+        inv = (Tensor(self.running_var.reshape(1, -1, 1, 1)) + self.eps) ** -0.5
+        scale = self.weight.reshape(1, -1, 1, 1) * inv
+        shift = self.bias.reshape(1, -1, 1, 1) - Tensor(
+            self.running_mean.reshape(1, -1, 1, 1)
+        ) * scale
+        return scale, shift
+
+
+@dataclass(frozen=True)
+class OutputPass:
+    """What :func:`conv_bn` finishes a conv output with: ``bn``, then
+    ``+ residual``, then ReLU. Calling it runs that generic expression;
+    a conv that fuses the pass (the compiled kernel) applies
+    ``bn.eval_affine()`` and the rest in its own output loop instead."""
+
+    bn: BatchNorm2d
+    residual: Tensor | np.ndarray | None = None
+    relu: bool = False
+
+    def __call__(self, out: Tensor) -> Tensor:
+        return self.finish(self.bn(out))
+
+    def finish(self, normed: Tensor) -> Tensor:
+        """The steps after the BatchNorm."""
+        if self.residual is not None:
+            normed = normed + self.residual
+        return ops.relu(normed) if self.relu else normed
+
+
+def conv_bn(conv: Module, bn: BatchNorm2d, x, residual=None, relu: bool = False) -> Tensor:
+    """``relu(bn(conv(x)) + residual)``, the residual and ReLU optional.
+
+    Under ``no_grad`` with an eval-mode ``bn``, a conv whose
+    ``fuses_output_pass`` is true (a compiled quantized conv holding a
+    kernel plan) gets the :class:`OutputPass` as ``conv(x, post=...)``
+    and returns the finished output; its result is bitwise equal to the
+    generic expression every other case runs (training, fake-quant, the
+    numpy ``integer`` backend, float convs).
+    """
+    post = OutputPass(bn, residual, relu)
+    if not is_grad_enabled() and not bn.training and getattr(conv, "fuses_output_pass", False):
+        return conv(x, post=post)
+    # Not post(conv(x)): the conv output would then stay alive until the
+    # ReLU returns, one activation more at the peak.
+    return post.finish(bn(conv(x)))
 
 
 class LayerNorm(Module):

@@ -75,6 +75,11 @@ class ExecutionBackend:
         """Diagnostic availability detail (``repro inspect`` report)."""
         return {"available": self.available()}
 
+    def fuses_output_pass(self, layer) -> bool:
+        """Whether ``run_conv2d(layer, x, post)`` applies the
+        :func:`repro.nn.conv_bn` output pass ``post`` itself."""
+        return False
+
     def run(self, layer, x):
         fn = getattr(self, f"run_{layer.spec.kind}", None)
         if fn is None:

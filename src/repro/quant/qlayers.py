@@ -119,8 +119,20 @@ class QuantizedLayer(nn.Module):
         self._exec = exec_backend
         return self
 
-    def forward(self, x) -> Tensor:
-        return self._exec.run(self, x)
+    @property
+    def fuses_output_pass(self) -> bool:
+        """Whether :func:`repro.nn.conv_bn` hands this layer its output
+        pass: a ``compiled`` conv holding a kernel plan."""
+        return self._exec.fuses_output_pass(self)
+
+    def forward(self, x, post=None) -> Tensor:
+        """``post`` is a :class:`repro.nn.norm.OutputPass`: the conv
+        kernel applies it when the backend fuses it, numpy after the
+        layer otherwise. The result is bitwise the same."""
+        if post is not None and self.fuses_output_pass:
+            return self._exec.run_conv2d(self, x, post)
+        out = self._exec.run(self, x)
+        return out if post is None else post(out)
 
     def __repr__(self) -> str:
         geo = ", ".join(f"{k}={v}" for k, v in self.spec.geometry.items())

@@ -228,7 +228,9 @@ class TestFloat32Glue:
         self, rng, resnet_pair, precision, scale_product_bits
     ):
         """Scale-product rounding runs the unfolded integer path, whose
-        convolutions must honor the engine precision too."""
+        convolutions must honor the engine precision too. Compiled convs
+        apply their BatchNorm in the kernel, so no BatchNorm2d module runs
+        there; its output is the QuantizedLayer's."""
         _, out = resnet_pair
         engine = IntegerEngine.load(
             out, precision=precision, per_sample_scale=True,
@@ -236,7 +238,12 @@ class TestFloat32Glue:
         )
         x = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
         seen = _module_output_dtypes(engine, x)
-        assert {"BatchNorm2d", "BasicBlock", "QuantizedLayer"} <= set(seen)
+        fused = any(
+            isinstance(m, QuantizedLayer) and m.fuses_output_pass
+            for _, m in engine.model.named_modules()
+        )
+        assert {"BasicBlock", "QuantizedLayer"} <= set(seen)
+        assert ("BatchNorm2d" in seen) != fused
         assert set().union(*seen.values()) == {precision}
 
     @pytest.mark.parametrize("precision", ["float32", "float64"])

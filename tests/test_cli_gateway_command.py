@@ -45,6 +45,13 @@ def test_swap_rollout_serves_both_versions(artifacts, capsys):
     versions = json.loads(served.split("versions served:")[1].replace("'", '"'))
     assert versions[old] >= 1 and versions[new] >= 1
     assert "client: 0 429s retried, 0 retryable 503s" in out
+    # The ok count is the lifetime one, which a hot swap does not reset.
+    # It counts every reply the driver tallied plus the swap's one warm
+    # parity probe, which the new pool serves before the flip.
+    counts = next(line for line in out.splitlines() if line.startswith("m: "))
+    ok = int(counts.split()[1])
+    assert ok == sum(versions.values()) + 1
+    assert " 0 errored, 0 rejected" in counts
 
 
 def test_non_503_error_fails_the_command(artifacts, capsys):
