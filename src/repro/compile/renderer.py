@@ -50,6 +50,8 @@ import hashlib
 from dataclasses import dataclass, replace
 
 _CTYPES = {"float", "double"}
+#: Unsigned type of a float type's bit pattern, and the mask that clears its sign.
+_BITS = {"float": ("uint32_t", "0x7fffffffu"), "double": ("uint64_t", "0x7fffffffffffffffull")}
 _INT_OPERANDS = {"int16_t", "int32_t", "double"}
 _ACCUMULATORS = {"int32_t", "int64_t", "double"}
 
@@ -248,6 +250,10 @@ class Prologue:
                 f"{indent}long long n = base + V <= {self.L} ? V : {self.L} - base;")
 
     def scales(self) -> str:
+        # Both absmax loops run on bit patterns with the sign cleared:
+        # non-negative floats order like their bits and a NaN sorts above
+        # +inf, so an integer max (which vectorizes) gives numpy's absmax,
+        # NaN included.
         x, s = self.x, self.s
         eps12 = _lit("1e-12", s)
         head = f"""\
@@ -259,76 +265,92 @@ class Prologue:
 {self._vector_bounds(" " * 12)}
 """
         if self.contiguous:
+            u, mask = _BITS[x]
             body = f"""\
-            {x} a = 0;
+            {u} a = 0;
             for (long long j = 0; j < n; j++) {{
-                {x} t = xr[base + j];
-                if (t > a) a = t;
-                if (-t > a) a = -t;
+                {u} t;
+                memcpy(&t, xr + base + j, sizeof t);
+                t &= {mask};
+                a = t > a ? t : a;
             }}
-            {s} sa = ({s})a / ({s})QMAX;
-            svr[v] = sa > {eps12} ? sa : {eps12};
+            {x} af;
+            memcpy(&af, &a, sizeof af);
+            {s} sa = ({s})af / ({s})QMAX;
+            svr[v] = sa < {eps12} ? {eps12} : sa;
 """
         else:
             # Rounding is monotone, so the absmax of the values cast to
             # the scale type is the cast of the absmax.
+            us, smask = _BITS[s]
             body = f"""\
             {s} *sr = svr + v * N;
             for (long long i = 0; i < N; i++) sr[i] = 0;
             for (long long j = 0; j < n; j++) {{
                 const {x} *xj = xr + (base + j) * N;
                 for (long long i = 0; i < N; i++) {{
-                    {s} t = ({s})xj[i], m = sr[i];
-                    m = t > m ? t : m;
-                    sr[i] = -t > m ? -t : m;
+                    {s} t = ({s})xj[i];
+                    {us} a, b;
+                    memcpy(&a, sr + i, sizeof a);
+                    memcpy(&b, &t, sizeof b);
+                    b &= {smask};
+                    a = b > a ? b : a;
+                    memcpy(sr + i, &a, sizeof a);
                 }}
             }}
             for (long long i = 0; i < N; i++) {{
                 {s} sa = sr[i] / ({s})QMAX;
-                sr[i] = sa > {eps12} ? sa : {eps12};
+                sr[i] = sa < {eps12} ? {eps12} : sa;
             }}
 """
         return head + body + "        }\n    }"
 
     def gamma(self) -> str:
+        # The scales are positive or NaN, so their bit patterns order
+        # like their values with a NaN on top (see :meth:`scales`).
         s = self.s
+        u = _BITS[s][0]
         eps30 = _lit("1e-30", s)
-        per_sample = f"{self.M} * {self._row_scales()}"
         if self.per_sample:
-            return f"""\
-    /* coarse scale (gamma = max(smax / sqmax, 1e-30)), one per sample */
-    for (long long b = 0; b < NB; b++) {{
-        const {s} *sb = sv + b * {per_sample};
-        {s} m = 0;
-        for (long long i = 0; i < {per_sample}; i++)
-            if (sb[i] > m) m = sb[i];
-        {s} g = m / ({s})SQMAX;
-        gamma[b] = g > {eps30} ? g : {eps30};
-    }}"""
+            count = f"{self.M} * {self._row_scales()}"
+            label, loop, dst = "one per sample", "for (long long b = 0; b < NB; b++) ", "gamma[b]"
+            base = f"sv + b * {count}"
+        else:
+            count = f"rows * {self._row_scales()}"
+            label, loop, dst, base = "one per tensor", "", "gamma[0]", "sv"
         return f"""\
-    /* coarse scale (gamma = max(smax / sqmax, 1e-30)), one per tensor */
-    {{
-        {s} m = 0;
-        for (long long i = 0; i < rows * {self._row_scales()}; i++)
-            if (sv[i] > m) m = sv[i];
-        {s} g = m / ({s})SQMAX;
-        gamma[0] = g > {eps30} ? g : {eps30};
+    /* coarse scale (gamma = max(smax / sqmax, 1e-30)), {label} */
+    {loop}{{
+        const {s} *sb = {base};
+        {u} m = 0;
+        for (long long i = 0; i < {count}; i++) {{
+            {u} t;
+            memcpy(&t, sb + i, sizeof t);
+            m = t > m ? t : m;
+        }}
+        {s} mf;
+        memcpy(&mf, &m, sizeof mf);
+        {s} g = mf / ({s})SQMAX;
+        {dst} = g < {eps30} ? {eps30} : g;
     }}"""
 
     def gamma_index(self, row: str) -> str:
         """The ``gamma`` index of row ``row``."""
         return f"{row} / {self.M}" if self.per_sample else "0"
 
+    # The lower clamps of ``_sq`` and ``_code`` send a NaN to the bound:
+    # an integer fold must never cast one (undefined in C), and a NaN
+    # input still reaches every output of its sample through gamma.
     def _sq(self, dst: str, scale: str, indent: str) -> str:
         s = self.s
         return (f"{indent}{s} {dst} = {_rint(s)}({scale} / g);\n"
-                f"{indent}if ({dst} < ({s})0) {dst} = ({s})0;\n"
+                f"{indent}if (!({dst} >= ({s})0)) {dst} = ({s})0;\n"
                 f"{indent}if ({dst} > ({s})SQMAX) {dst} = ({s})SQMAX;")
 
     def _code(self, value: str, scale: str, indent: str) -> str:
         c = self.c
         return (f"{indent}{c} cd = {_rint(c)}(({c}){value} / {scale});\n"
-                f"{indent}if (cd < ({c})QMIN) cd = ({c})QMIN;\n"
+                f"{indent}if (!(cd >= ({c})QMIN)) cd = ({c})QMIN;\n"
                 f"{indent}if (cd > ({c})QMAX) cd = ({c})QMAX;")
 
     def codes(self, dst_row: str, store, pad: bool = False, index=None,

@@ -18,6 +18,8 @@ per-layer energy by operation count (as the paper does for Fig. 4-6).
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro import nn
 from repro.quant.backends import get_backend
 from repro.quant.integer_exec import QuantizedTensor
@@ -154,7 +156,9 @@ class QuantMultiHeadAttention(nn.MultiHeadAttention):
 
     The attention math itself is inherited: the float base class exposes
     an ``_operand`` hook over the four matmul operands, and this class
-    only overrides that hook — one copy of the forward to keep in sync.
+    only overrides that hook (and :meth:`_sample_operand`, the chunked
+    inference core's direct route to the same quantizers) — one copy of
+    the forward to keep in sync.
     """
 
     def __init__(self, d_model: int, num_heads: int):
@@ -188,6 +192,20 @@ class QuantMultiHeadAttention(nn.MultiHeadAttention):
     def _operand(self, name: str, value: Tensor) -> Tensor:
         quantizer = self.operand_quantizers.get(name)
         return quantizer(value) if quantizer is not None else value
+
+    def _sample_operand(self):
+        """The quantizers' array path, when every quantizer quantizes per
+        sample: the chunked core calls it directly, never through the
+        ``_operand`` hook, so its time counts as the module's own."""
+        quantizers = self.operand_quantizers
+        if all(q.per_sample(4) for q in quantizers.values()):
+            return partial(_quantize_array, quantizers)
+        return None
+
+
+def _quantize_array(quantizers: dict[str, Quantizer], name: str, value):
+    quantizer = quantizers.get(name)
+    return quantizer._fake_quant_array(value) if quantizer is not None else value
 
 
 def quant_layers(model: nn.Module) -> list[tuple[str, QuantizedLayer]]:

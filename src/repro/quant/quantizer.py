@@ -186,6 +186,23 @@ class Quantizer:
     def is_calibrated(self) -> bool:
         return self._alpha is not None
 
+    def per_sample(self, ndim: int) -> bool:
+        """Whether each sample (index of axis 0) of an ``ndim``-D input
+        quantizes on its own values alone, so any sample range may run
+        separately, on any thread, with a bitwise equal result: one
+        coarse scale per sample (``channel_axes == (0,)``) at per-channel
+        or per-vector granularity, vectors off axis 0, and neither
+        calibration observing the batch nor ``record_scales`` keeping
+        its scales."""
+        spec = self.spec
+        return (
+            spec.granularity is not Granularity.PER_TENSOR
+            and tuple(spec.channel_axes) == (0,)
+            and spec.vector_axis % ndim != 0
+            and not self._observing
+            and not self.record_scales
+        )
+
     # ------------------------------------------------------------------
     # application
     # ------------------------------------------------------------------

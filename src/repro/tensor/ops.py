@@ -176,19 +176,28 @@ def where(cond, a, b) -> Tensor:
 # ----------------------------------------------------------------------
 # normalizers
 # ----------------------------------------------------------------------
-def _softmax(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return np.divide(e, e.sum(axis=axis, keepdims=True), out=out)
+def softmax_array(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of an array, without autograd, into ``out`` (which may be
+    ``x`` itself) or a new array; the steps after the max run in place.
+
+    The max reduces a copy with ``axis`` first, across rows: numpy takes
+    a short contiguous axis row by row, about 3x slower (48 keys). A max
+    is exact in any order; only the sign of a zero max can differ, and
+    ``exp`` maps both zero signs to 1."""
+    rows = np.ascontiguousarray(np.moveaxis(x, axis, 0))
+    peak = np.expand_dims(np.maximum.reduce(rows, axis=0), axis)
+    shifted = np.subtract(x, peak, out=out)
+    np.exp(shifted, out=shifted)
+    return np.divide(shifted, shifted.sum(axis=axis, keepdims=True), out=shifted)
 
 
 def softmax(x, axis: int = -1) -> Tensor:
     x = as_tensor(x)
     if not is_grad_enabled() and x.ndim and axis % x.ndim:
         # Inference over a non-batch axis: the batch splits across CPUs.
-        out = map_samples(lambda xs, out=None: _softmax(xs, axis, out), x.data)
+        out = map_samples(lambda xs, out=None: softmax_array(xs, axis, out), x.data)
         return Tensor._make(out, (x,), None)
-    out = _softmax(x.data, axis)
+    out = softmax_array(x.data, axis)
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:

@@ -36,6 +36,10 @@ import numpy as np
 # up to 2x at B <= 8 and wins from B = 16 on (docs/performance.md).
 _MIN_SAMPLES = 8
 
+#: The smallest batch that splits (two ranges of ``_MIN_SAMPLES``),
+#: whatever the CPU count.
+SPLIT_FLOOR = 2 * _MIN_SAMPLES
+
 # Worker count override for tests; ``None`` follows the CPU affinity mask.
 _WORKERS: int | None = None
 
@@ -103,7 +107,7 @@ def _workers() -> int:
 
 
 def _parts(n: int) -> int:
-    if n < 2 * _MIN_SAMPLES:
+    if n < SPLIT_FLOOR:
         return 1  # the small-batch serving path skips the affinity syscall
     return min(_workers(), n // _MIN_SAMPLES)
 

@@ -101,6 +101,28 @@ class TestSoftmaxFamily:
         b = ops.softmax(t(x + 100.0)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_array_is_bitwise_the_textbook_form(self, rng, dtype):
+        x = (rng.standard_normal((3, 2, 5, 48)) * 8).astype(dtype)
+        x[0, 1, 2, :7] = -1e9
+        x[1, 0, 3] = -np.abs(x[1, 0, 3])
+        x[1, 0, 3, ::3] = -0.0  # a zero max of either sign
+        x[1, 0, 3, 1::5] = 0.0
+        x[2, 1, 4, 9] = np.nan
+        shifted = x - x.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        want = e / e.sum(axis=-1, keepdims=True)
+        nan = np.isnan(want)
+        assert nan.sum() == 48
+        y = x.copy()
+        in_place = ops.softmax_array(y, out=y)
+        assert in_place is y
+        for got in (ops.softmax_array(x), in_place):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            bits = f"u{got.itemsize}"
+            np.testing.assert_array_equal(got[~nan].view(bits), want[~nan].view(bits))
+
     def test_log_softmax_matches_log_of_softmax(self, rng):
         x = rng.standard_normal((3, 4))
         np.testing.assert_allclose(
