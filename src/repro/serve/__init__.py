@@ -29,13 +29,14 @@
 - :mod:`repro.serve.faults` — :class:`FaultPlan` + :class:`FaultSpec`:
   seeded, replica-targeted fault injection (crash/latency/error/corrupt)
   for chaos tests and the ``--chaos-smoke`` benchmark.
-- :mod:`repro.serve.gateway` — :class:`Gateway`: the stdlib HTTP/JSON
-  front-end (``/v1/models``, ``/v1/models/<name>/predict``, ``/healthz``,
-  ``/stats``), admission control (429/413), and the optional response
-  cache.
+- :mod:`repro.serve.gateway` — :class:`Gateway`: the stdlib HTTP
+  front-end (``/v1/models``, ``/v1/models/<name>/predict`` in JSON or
+  binary frames, ``/healthz``, ``/stats``), admission control (429/413),
+  and the optional response cache.
 - :mod:`repro.serve.client` — :class:`GatewayClient`: stdlib client used
-  by the CLI, benchmarks, and tests; opt-in :class:`RetryPolicy`
-  (backoff + jitter), :class:`CircuitBreaker`, and per-call deadlines.
+  by the CLI, benchmarks, and tests; binary predicts over one persistent
+  connection per thread, opt-in :class:`RetryPolicy` (backoff + jitter),
+  :class:`CircuitBreaker`, and per-call deadlines.
 - :mod:`repro.serve.runners` — adapters that turn a model (or
   :class:`repro.deploy.IntegerEngine`) into the server's ``batch_fn``:
   stack single-sample payloads, run one forward, split the outputs.

@@ -1,10 +1,16 @@
 """Minimal stdlib HTTP client for the serving gateway.
 
-Used by the CLI self-traffic mode, the scaling benchmark, and the test
-suite — anything that wants to speak the gateway's JSON protocol without
-hand-rolling ``urllib`` calls. Arrays are sent as nested JSON lists
-(``tolist()``); tuple payloads (QA: ``(tokens, mask)``) are sent as a
-two-element list.
+Used by the CLI self-traffic mode, the benchmarks, and the test suite —
+anything that wants to speak the gateway's protocol without hand-rolling
+HTTP. Each calling thread keeps one persistent HTTP/1.1 connection
+(``http.client``, which sets ``TCP_NODELAY``); a connection the server
+closed before answering is redialed once, transparently.
+
+Array inputs (a numpy array, or a tuple of arrays for QA's ``(tokens,
+mask)``) go as one binary frame (``repro.serve.worker``'s codec,
+``FRAME_CONTENT_TYPE``) and ask for a binary reply, so outputs come back
+as arrays in the engine's dtype. Nested-list inputs go as JSON and get
+a JSON reply.
 
 Resilience (PR 6) — all opt-in, so a bare ``GatewayClient(url)`` behaves
 exactly as before:
@@ -32,15 +38,24 @@ Observability (PR 7): ``predict(request_id=..., trace=True)`` propagates
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from dataclasses import dataclass
 from random import Random
+from urllib.parse import urlsplit
 
 import numpy as np
+
+from repro.serve.worker import (
+    FRAME_CONTENT_TYPE,
+    decode_payload,
+    encode_payload,
+    pack_frame,
+    unpack_frame,
+)
 
 
 class GatewayHTTPError(RuntimeError):
@@ -210,14 +225,29 @@ def encode_inputs(payload) -> list:
     return np.asarray(payload).tolist()
 
 
-#: Connection-level failures worth a retry: refused/reset sockets and
-#: timeouts, bare or wrapped in ``URLError`` by ``urlopen``.
-_CONNECTION_ERRORS = (urllib.error.URLError, ConnectionError, TimeoutError, OSError)
+def _decode_reply(data: bytes) -> dict:
+    """A binary predict reply -> the JSON reply's dict, outputs an array."""
+    header, blob = unpack_frame(data)
+    header["outputs"], _ = decode_payload(header["outputs"], blob)
+    return header
+
+
+#: A reused connection failing this way before the reply's first byte
+#: was closed by the server while idle; the request is sent again on a
+#: fresh connection.
+_STALE_CONNECTION = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
+
+
+def _close_all(conns: dict) -> None:
+    for conn in conns.values():
+        conn.close()
 
 
 class GatewayClient:
     """Tiny synchronous client; one instance per base URL, thread-safe.
 
+    Every thread that calls it gets its own keep-alive connection;
+    :meth:`close` (or leaving a ``with`` block) closes them all.
     ``retry`` and ``breaker`` (both optional) apply to :meth:`predict`
     only — the other verbs (load/swap/unload) mutate serving state and
     must fail loudly, not repeat themselves.
@@ -232,45 +262,115 @@ class GatewayClient:
         breaker: CircuitBreaker | None = None,
     ):
         self.url = url.rstrip("/")
+        parts = urlsplit(self.url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(f"gateway URL must be http://host[:port], got {url!r}")
+        self._address = (parts.hostname, parts.port or 80)
+        self._prefix = parts.path
         self.timeout_s = timeout_s
         self.retry = retry
         self.breaker = breaker
         self._rng = Random(retry.seed if retry is not None else 0)
         self._rng_lock = threading.Lock()
+        self._local = threading.local()
+        self._conns_lock = threading.Lock()
+        self._conns: dict[threading.Thread, http.client.HTTPConnection] = {}
+        # a client dropped without close() still closes its sockets
+        weakref.finalize(self, _close_all, self._conns)
+
+    def close(self) -> None:
+        """Close every thread's connection (a later call redials)."""
+        with self._conns_lock:
+            conns = dict(self._conns)
+            self._conns.clear()
+        _close_all(conns)
+
+    def __enter__(self) -> "GatewayClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
+    def _connection(self, timeout: float | None) -> http.client.HTTPConnection:
+        """This thread's connection, with ``timeout`` for its next exchange."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = http.client.HTTPConnection(*self._address)
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        else:  # about to dial: let close() reach it, and drop dead threads' ones
+            with self._conns_lock:
+                for thread in [t for t in self._conns if not t.is_alive()]:
+                    self._conns.pop(thread).close()
+                self._conns[threading.current_thread()] = conn
+        return conn
+
+    def _exchange(self, method: str, path: str, data: bytes | None,
+                  headers: dict, timeout: float | None) -> tuple[int, str, bytes]:
+        """One request on this thread's connection -> (status, content type, body)."""
+        for attempt in (1, 2):
+            conn = self._connection(timeout)
+            reused = conn.sock is not None
+            replied = False
+            try:
+                conn.request(method, self._prefix + path, body=data, headers=headers)
+                resp = conn.getresponse()
+                replied = True
+                return resp.status, resp.getheader("Content-Type", ""), resp.read()
+            except BaseException as exc:
+                conn.close()
+                if isinstance(exc, _STALE_CONNECTION) and reused and not replied and attempt == 1:
+                    continue
+                if isinstance(exc, http.client.HTTPException) and not isinstance(exc, OSError):
+                    raise ConnectionError(
+                        f"bad HTTP exchange with {self.url}: {exc!r}"
+                    ) from exc
+                raise
+        raise AssertionError("unreachable")  # pragma: no cover
+
     def _request(
-        self, method: str, path: str, body: dict | None = None,
+        self, method: str, path: str, body: dict | bytes | None = None,
         timeout_s: float | None = None, headers: dict | None = None,
         raw: bool = False,
     ):
-        data = json.dumps(body).encode() if body is not None else None
-        hdrs = {"Content-Type": "application/json"} if data else {}
+        """One call; ``body`` is JSON-encoded unless already ``bytes`` (whose
+        ``Content-Type`` the caller sets). Returns the decoded reply:
+        JSON, a frame's dict, or text with ``raw=True``."""
+        hdrs = {}
+        if isinstance(body, bytes):
+            data = body
+        elif body is not None:
+            data = json.dumps(body).encode()
+            hdrs["Content-Type"] = "application/json"
+        else:
+            data = None
         if headers:
             hdrs.update(headers)
-        req = urllib.request.Request(
-            f"{self.url}{path}", data=data, method=method, headers=hdrs,
-        )
-        try:
-            timeout = self.timeout_s if timeout_s is None else timeout_s
-            with urllib.request.urlopen(req, timeout=timeout) as resp:
-                if raw:
-                    return resp.read().decode()
-                return json.loads(resp.read())
-        except urllib.error.HTTPError as exc:
+        timeout = self.timeout_s if timeout_s is None else timeout_s
+        status, content_type, payload = self._exchange(method, path, data, hdrs, timeout)
+        if not 200 <= status < 300:
             try:
-                payload = json.loads(exc.read())
-            except (json.JSONDecodeError, OSError):
-                payload = {"error": str(exc)}
-            cls = GatewayOverloaded if exc.code == 429 else GatewayHTTPError
-            raise cls(exc.code, payload) from None
+                error = json.loads(payload)
+            except ValueError:
+                error = None
+            if not isinstance(error, dict):
+                error = {"error": payload.decode(errors="replace") or f"HTTP {status}"}
+            cls = GatewayOverloaded if status == 429 else GatewayHTTPError
+            raise cls(status, error)
+        if raw:
+            return payload.decode()
+        if content_type.partition(";")[0].strip() == FRAME_CONTENT_TYPE:
+            return _decode_reply(payload)
+        return json.loads(payload)
 
     def _jittered_delay(self, policy: RetryPolicy, attempt: int) -> float:
         with self._rng_lock:  # one shared seeded stream, race-free
             return policy.delay_s(attempt, self._rng)
 
     def _resilient_post(
-        self, path: str, body: dict, deadline_s: float | None,
+        self, path: str, body: dict | bytes, deadline_s: float | None,
         headers: dict | None = None,
     ) -> dict:
         """Predict's retry loop: breaker gate, bounded attempts, deadline."""
@@ -291,11 +391,8 @@ class GatewayClient:
                     )
                 timeout_s = min(self.timeout_s, remaining)
             try:
-                # headers only when set, so test doubles with the old
-                # _request signature keep working
-                extra = {"headers": headers} if headers else {}
                 response = self._request(
-                    "POST", path, body, timeout_s=timeout_s, **extra
+                    "POST", path, body, timeout_s=timeout_s, headers=headers
                 )
             except GatewayHTTPError as exc:
                 # 429/5xx are the gateway failing; 4xx is this caller's
@@ -305,7 +402,7 @@ class GatewayClient:
                 if exc.status not in policy.retry_statuses:
                     raise
                 failure = exc
-            except _CONNECTION_ERRORS as exc:
+            except OSError as exc:  # refused/reset sockets and timeouts
                 if self.breaker is not None:
                     self.breaker.record_failure()
                 failure = exc
@@ -361,26 +458,32 @@ class GatewayClient:
                 trace: bool = False):
         """POST one prediction; returns the outputs array.
 
-        ``inputs`` may be a numpy array, a tuple of arrays (QA), or
-        already-JSON-able nested lists. ``raw=True`` returns the whole
-        response dict (model, version, outputs, cached) instead.
-        ``deadline_s`` bounds the entire call — every retry attempt and
-        backoff included — raising :class:`DeadlineExceeded` past it.
-        ``request_id`` is sent as ``X-Request-Id`` so the gateway's trace
-        carries the caller's id; ``trace=True`` asks the gateway to embed
-        the span timeline in the response body (implies ``raw``-style
-        access — read ``result["trace"]``).
+        ``inputs`` may be a numpy array or a tuple of arrays (QA), sent
+        as a binary frame, or already-JSON-able nested lists, sent as
+        JSON. ``raw=True`` returns the whole response dict (model,
+        version, outputs, cached) instead; its ``outputs`` is an array in
+        the engine's dtype for array inputs and nested lists for list
+        inputs. ``deadline_s`` bounds the entire call — every retry
+        attempt and backoff included — raising :class:`DeadlineExceeded`
+        past it. ``request_id`` is sent as ``X-Request-Id`` so the
+        gateway's trace carries the caller's id; ``trace=True`` asks the
+        gateway to embed the span timeline in the response (implies
+        ``raw``-style access — read ``result["trace"]``).
         """
+        headers = {"X-Request-Id": request_id} if request_id else {}
+        flags = {"trace": True} if trace else {}
         if isinstance(inputs, (np.ndarray, tuple)):
-            inputs = encode_inputs(inputs)
-        body: dict = {"inputs": inputs}
-        if trace:
-            body["trace"] = True
-        headers = {"X-Request-Id": request_id} if request_id else None
-        body = self._resilient_post(
+            if isinstance(inputs, tuple):
+                inputs = tuple(np.asarray(f) for f in inputs)
+            desc, blobs = encode_payload(inputs)
+            body = pack_frame({"inputs": desc, **flags}, blobs)
+            headers.update({"Content-Type": FRAME_CONTENT_TYPE, "Accept": FRAME_CONTENT_TYPE})
+        else:
+            body = {"inputs": inputs, **flags}
+        reply = self._resilient_post(
             f"/v1/models/{name}/predict", body, deadline_s, headers=headers
         )
-        return body if raw or trace else np.asarray(body["outputs"])
+        return reply if raw or trace else np.asarray(reply["outputs"])
 
     def load(self, name: str, artifact: str, **options) -> dict:
         return self._request(

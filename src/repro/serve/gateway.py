@@ -1,11 +1,13 @@
-"""HTTP/JSON multi-model serving gateway.
+"""HTTP multi-model serving gateway.
 
 A stdlib-only (:mod:`http.server`) front-end over a
-:class:`~repro.serve.registry.ModelRegistry`: every request handler
-thread decodes JSON, routes to the model's replica pool, and blocks on
-the per-request future while the pool's dynamic batchers do the work.
+:class:`~repro.serve.registry.ModelRegistry`: every connection gets a
+handler thread that decodes each request, routes it to the model's
+replica pool, and blocks on the per-request future while the pool's
+dynamic batchers do the work. Connections are HTTP/1.1 keep-alive with
+``TCP_NODELAY``, and each response leaves in one write.
 
-API surface (all JSON):
+API surface (JSON; ``/predict`` also speaks binary frames, below):
 
 ====================================  =======================================
 ``GET  /healthz``                     liveness + per-model ready/degraded/
@@ -28,12 +30,22 @@ API surface (all JSON):
                                       (``?source=&model=&event=&limit=``)
 ====================================  =======================================
 
+Binary predict: a body with ``Content-Type: application/x-repro-frame``
+is one :mod:`repro.serve.worker` frame (``u32 header_len | u32
+blobs_len | JSON header | raw blobs``) whose header holds ``inputs`` as a
+payload descriptor (and optionally ``trace``); the arrays go through the
+same task decoder as JSON ``inputs``. ``Accept: application/x-repro-frame``
+asks for the reply as a frame too: the JSON reply's fields in the header,
+``outputs`` a descriptor over the engine's output bytes in its dtype.
+Error replies are JSON either way.
+
 Observability: every predict gets a request ID (inbound ``X-Request-Id``
 honored, else generated) and a span timeline (decode -> queue_wait ->
-batch_form -> execute -> encode) returned in the ``X-Trace`` header; send
-``{"trace": true}`` in the predict body to get the full timeline in the
-response. Construction of traces and per-request metrics is skipped when
-the gateway is built with ``instrument=False``.
+batch_form -> execute -> encode) returned in the ``X-Trace`` header; the
+``decode`` span covers parsing the body. Send ``{"trace": true}`` in the
+predict body (or frame header) to get the full timeline in the response.
+Construction of traces and per-request metrics is skipped when the
+gateway is built with ``instrument=False``.
 
 Rollout safety: ``/swap`` never 404s/503s concurrent predictions. The
 handler snapshots the entry's (pool, version) pair atomically; if the
@@ -46,7 +58,7 @@ Error semantics — the admission-control contract:
 
 - **404** unknown model (including one being unloaded: the registry
   entry disappears before its pool drains).
-- **400** malformed JSON, missing/undecodable ``inputs``, or a POST
+- **400** malformed JSON or frame, missing/undecodable ``inputs``, or a POST
   without a valid ``Content-Length`` (the gateway never reads an
   unbounded body).
 - **413** declared body larger than ``max_body_bytes``; refused before
@@ -73,9 +85,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import socket
 import threading
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs
@@ -97,6 +111,13 @@ from repro.serve.registry import (
 )
 from repro.serve.replica import NoHealthyReplicas
 from repro.serve.server import ServerClosed, ServerOverloaded
+from repro.serve.worker import (
+    FRAME_CONTENT_TYPE,
+    decode_payload,
+    encode_payload,
+    pack_frame,
+    unpack_frame,
+)
 from repro.utils.log import get_logger
 
 logger = get_logger("gateway")
@@ -110,6 +131,10 @@ DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 #: wake the loop at once regardless.
 _POLL_INTERVAL_S = 0.02
 
+#: How long ``Gateway.stop`` waits, after the pools stopped, for the
+#: handler threads of the connections it closed.
+_HANDLER_JOIN_S = 5.0
+
 
 class GatewayError(RuntimeError):
     """Gateway-side configuration/lifecycle error."""
@@ -119,7 +144,8 @@ class GatewayError(RuntimeError):
 # response cache
 # ----------------------------------------------------------------------
 class ResponseCache:
-    """Thread-safe LRU for rendered prediction responses."""
+    """Thread-safe LRU of prediction responses (outputs as arrays, rendered
+    as JSON or a frame per request)."""
 
     def __init__(self, max_entries: int):
         if max_entries < 1:
@@ -183,19 +209,63 @@ class ResponseCache:
 class _JSONResponse(Exception):
     """Control-flow carrier: any handler step can finalize the response.
 
-    ``text`` switches the response to a raw (non-JSON) body with
+    ``data`` switches the response to a raw (non-JSON) body with
     ``content_type`` — how ``/metrics`` serves the Prometheus text
-    format through the same plumbing.
+    format and ``/predict`` its binary frames through the same plumbing.
     """
 
     def __init__(self, status: int, body: dict | None, headers: dict | None = None,
-                 *, text: str | None = None,
+                 *, data: bytes | None = None,
                  content_type: str = "application/json"):
         self.status = status
         self.body = body
         self.headers = headers or {}
-        self.text = text
+        self.data = data
         self.content_type = content_type
+
+
+def _json_body(raw: bytes):
+    """A JSON request body (``None`` when empty); 400 when malformed."""
+    if not raw:
+        return None
+    try:
+        return json.loads(raw)
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise _JSONResponse(400, {"error": f"malformed JSON body: {exc}"})
+
+
+def _predict_request(raw: bytes, content_type: str) -> tuple:
+    """A ``/predict`` body -> ``(inputs, trace flag)``.
+
+    A frame body (``FRAME_CONTENT_TYPE``) carries ``inputs`` as a payload
+    descriptor over its blobs and ``trace`` in its header; any other
+    body is JSON ``{"inputs": ..., "trace": ...}``.
+    """
+    if content_type.partition(";")[0].strip() == FRAME_CONTENT_TYPE:
+        try:
+            header, blob = unpack_frame(raw)
+            inputs, end = decode_payload(header["inputs"], blob)
+            if end != len(blob):
+                raise ValueError(f"{len(blob) - end} blob bytes past the last array")
+        except (ValueError, TypeError, KeyError, OverflowError) as exc:
+            raise _JSONResponse(400, {"error": f"malformed frame body: {exc}"})
+        return inputs, bool(header.get("trace"))
+    body = _json_body(raw)
+    if not isinstance(body, dict) or "inputs" not in body:
+        raise _JSONResponse(400, {"error": 'predict body must be {"inputs": ...}'})
+    return body["inputs"], bool(body.get("trace"))
+
+
+def _wire_outputs(outputs: np.ndarray, binary: bool) -> tuple:
+    """Outputs -> ``(the reply's "outputs" field, frame blobs)``; the
+    blobs are ``None`` for a JSON reply."""
+    if binary and not outputs.dtype.hasobject:
+        return encode_payload(outputs)
+    return outputs.tolist(), None
+
+
+def _span(trace, name: str):
+    return trace.span(name) if trace is not None else nullcontext()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -206,17 +276,26 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         logger.debug("http %s", format % args)
 
+    def setup(self) -> None:
+        super().setup()
+        # A keep-alive peer that delays its ACKs would otherwise hold each
+        # reply's last segment for ~40 ms (Nagle).
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
     def _send(self, status: int, body: dict, headers: dict | None = None,
-              *, text: str | None = None,
+              *, data: bytes | None = None,
               content_type: str = "application/json") -> None:
-        data = text.encode() if text is not None else json.dumps(body).encode()
+        if data is None:
+            data = json.dumps(body).encode()
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
         for key, value in (headers or {}).items():
             self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(data)
+        # end_headers() plus the body, in one write: one send per reply
+        self._headers_buffer.append(b"\r\n")
+        self._headers_buffer.append(data)
+        self.flush_headers()
 
     def _dispatch(self, method: str) -> None:
         gateway = self.server.gateway
@@ -230,7 +309,7 @@ class _Handler(BaseHTTPRequestHandler):
             # request line. A request we refuse to read (no/bad length,
             # oversized) closes the connection instead: its body is still
             # sitting in the socket and would desync the next request.
-            body = None
+            raw = b""
             if method == "POST":
                 declared = self.headers.get("Content-Length")
                 try:
@@ -269,17 +348,12 @@ class _Handler(BaseHTTPRequestHandler):
             if routed is None:
                 raise _JSONResponse(404, {"error": f"no route {method} {self.path}"})
             route, route_label = routed
-            if method == "POST" and raw:
-                try:
-                    body = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise _JSONResponse(400, {"error": f"malformed JSON body: {exc}"})
-            route(body)
+            route(raw)
             raise AssertionError("route returned without a response")  # pragma: no cover
         except _JSONResponse as resp:
             status = resp.status
             self._send(resp.status, resp.body, resp.headers,
-                       text=resp.text, content_type=resp.content_type)
+                       data=resp.data, content_type=resp.content_type)
         except Exception as exc:  # noqa: BLE001 - last-resort 500
             logger.exception("unhandled gateway error")
             self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
@@ -297,8 +371,53 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _GatewayHTTPServer(ThreadingHTTPServer):
+    """One handler thread per connection, each connection tracked so
+    ``Gateway.stop`` can close the idle keep-alive ones."""
+
     daemon_threads = True
     gateway: "Gateway"
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._conn_lock = threading.Lock()
+        self._open: dict[socket.socket, threading.Thread] = {}
+        self.connections_accepted = 0
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address),
+            daemon=True,
+        )
+        with self._conn_lock:
+            self._open[request] = thread
+            self.connections_accepted += 1
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._conn_lock:
+            self._open.pop(request, None)
+        super().shutdown_request(request)
+
+    def connection_stats(self) -> dict:
+        with self._conn_lock:
+            return {"open": len(self._open), "accepted": self.connections_accepted}
+
+    def close_connections(self) -> list[threading.Thread]:
+        """Shut the read side of every open connection; return their threads.
+
+        An idle keep-alive handler blocked on the next request line reads
+        EOF at once and exits; a busy one still writes its response, then
+        reads EOF. Called after the accept loop stopped, so no connection
+        can appear later.
+        """
+        with self._conn_lock:
+            items = list(self._open.items())
+        for request, _ in items:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:  # the peer already went away
+                pass
+        return [thread for _, thread in items]
 
 
 # ----------------------------------------------------------------------
@@ -374,14 +493,24 @@ class Gateway:
         return self
 
     def stop(self, drain: bool = True) -> None:
-        """Stop accepting HTTP, then stop every model pool (draining)."""
+        """Stop accepting HTTP, then stop every model pool (draining).
+
+        Open keep-alive connections are closed: an idle one at once, a
+        busy one after its response, so no handler thread outlives the
+        call (each gets ``_HANDLER_JOIN_S`` once the pools stopped).
+        """
+        handlers: list[threading.Thread] = []
         if self._httpd is not None:
             self._httpd.shutdown()
+            handlers = self._httpd.close_connections()
             self._httpd.server_close()
             self._thread.join()
             self._httpd = None
             self._thread = None
         self.registry.stop_all(drain=drain)
+        deadline = time.monotonic() + _HANDLER_JOIN_S
+        for thread in handlers:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "Gateway":
         return self.start()
@@ -430,9 +559,8 @@ class Gateway:
             if len(parts) == 5:
                 name, action = parts[3], parts[4]
                 if action == "predict":
-                    request_id = (headers or {}).get("X-Request-Id")
                     return (
-                        lambda body: self._post_predict(name, body, request_id=request_id)
+                        lambda raw: self._post_predict(name, raw, headers or {})
                     ), "/v1/models/{name}/predict"
                 handler = {
                     "load": self._post_load,
@@ -440,7 +568,9 @@ class Gateway:
                     "unload": self._post_unload,
                 }.get(action)
                 if handler is not None:
-                    return (lambda body: handler(name, body)), f"/v1/models/{{name}}/{action}"
+                    return (
+                        lambda raw: handler(name, _json_body(raw))
+                    ), f"/v1/models/{{name}}/{action}"
         return None
 
     # ------------------------------------------------------------------
@@ -495,6 +625,8 @@ class Gateway:
             payload["cache"] = self.cache.stats()
         payload["kernel_cache"] = kernel_cache_stats()
         payload["events"] = self.obs.events.stats()
+        if self._httpd is not None:
+            payload["connections"] = self._httpd.connection_stats()
         raise _JSONResponse(200, payload)
 
     def _get_metrics(self, body=None):
@@ -502,7 +634,7 @@ class Gateway:
         self.metrics.sync(self.registry, cache=self.cache)
         raise _JSONResponse(
             200, None,
-            text=self.obs.metrics.render(),
+            data=self.obs.metrics.render().encode(),
             content_type=PROMETHEUS_CONTENT_TYPE,
         )
 
@@ -541,12 +673,13 @@ class Gateway:
         )
 
     def _predict_finish(self, name, trace, want_trace, outcome, t0, status,
-                        resp_body, headers=None):
+                        resp_body, headers=None, blobs=None):
         """Record per-request observability, then raise the response.
 
         Every predict exit path funnels through here so the per-model
         counters/latency and the trace ring see rejected/failed requests
-        too, not just the happy path.
+        too, not just the happy path. ``blobs`` (a binary reply's output
+        bytes) makes the response a frame with ``resp_body`` as header.
         """
         headers = dict(headers or {})
         if self.instrument:
@@ -560,23 +693,29 @@ class Gateway:
             self.obs.traces.record(trace)
             if want_trace and isinstance(resp_body, dict):
                 resp_body = {**resp_body, "trace": trace.as_dict()}
+        if blobs is not None:
+            raise _JSONResponse(
+                status, None, headers,
+                data=pack_frame(resp_body, blobs), content_type=FRAME_CONTENT_TYPE,
+            )
         raise _JSONResponse(status, resp_body, headers)
 
-    def _post_predict(self, name: str, body, request_id: str | None = None):
+    def _post_predict(self, name: str, raw: bytes, headers):
+        """One prediction. The reply is a frame when ``Accept`` names
+        ``FRAME_CONTENT_TYPE`` and JSON otherwise; errors are always JSON."""
         t0 = time.perf_counter()
         entry = self._entry_or_404(name)
-        if not isinstance(body, dict) or "inputs" not in body:
-            raise _JSONResponse(400, {"error": 'predict body must be {"inputs": ...}'})
-        want_trace = bool(body.get("trace"))
-        trace = self.obs.trace(request_id, model=name) if self.instrument else None
-        try:
-            if trace is not None:
-                with trace.span("decode"):
-                    payload = entry.decode(body["inputs"])
-            else:
-                payload = entry.decode(body["inputs"])
-        except (ValueError, TypeError) as exc:
-            raise _JSONResponse(400, {"error": f"cannot decode inputs: {exc}"})
+        binary = FRAME_CONTENT_TYPE in headers.get("Accept", "")
+        trace = (
+            self.obs.trace(headers.get("X-Request-Id"), model=name)
+            if self.instrument else None
+        )
+        with _span(trace, "decode"):
+            inputs, want_trace = _predict_request(raw, headers.get("Content-Type", ""))
+            try:
+                payload = entry.decode(inputs)
+            except (ValueError, TypeError) as exc:
+                raise _JSONResponse(400, {"error": f"cannot decode inputs: {exc}"})
 
         # Route against an atomic (pool, version) pair from entry.route()
         # (canary-aware: during a canary window a deterministic slice of
@@ -598,9 +737,10 @@ class Gateway:
                 key = ResponseCache.key(entry, payload, version=version)
                 cached = self.cache.get(key)
                 if cached is not None:
+                    wire, blobs = _wire_outputs(cached["outputs"], binary)
                     self._predict_finish(
                         name, trace, want_trace, "cached", t0, 200,
-                        {**cached, "cached": True},
+                        {**cached, "outputs": wire, "cached": True}, blobs=blobs,
                     )
             try:
                 handle = pool.submit(payload, block=False, trace=trace)
@@ -649,17 +789,17 @@ class Gateway:
                 {"error": f"{type(exc).__name__}: {exc}"},
             )
 
+        with _span(trace, "encode"):
+            outputs = np.asarray(result)
+            wire, blobs = _wire_outputs(outputs, binary)
         if trace is not None:
-            with trace.span("encode"):
-                outputs = np.asarray(result).tolist()
             trace.annotate(version=version)
-        else:
-            outputs = np.asarray(result).tolist()
         response = {"model": entry.name, "version": version, "outputs": outputs}
         if self.cache is not None:
             self.cache.put(key, response)
         self._predict_finish(
-            name, trace, want_trace, "ok", t0, 200, {**response, "cached": False}
+            name, trace, want_trace, "ok", t0, 200,
+            {**response, "outputs": wire, "cached": False}, blobs=blobs,
         )
 
     def _post_load(self, name: str, body):

@@ -50,6 +50,9 @@ from repro.serve.server import (
     ServerOverloaded,
 )
 
+#: HTTP content type of one frame as a gateway ``/predict`` body or reply.
+FRAME_CONTENT_TYPE = "application/x-repro-frame"
+
 #: Hard cap on a single frame (header + blobs). Far above any batch this
 #: stack produces; guards a corrupted/hostile peer from a giant alloc.
 MAX_FRAME_BYTES = 1 << 30
@@ -66,11 +69,33 @@ _POLL_S = 0.001
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
-def send_frame(sock: socket.socket, header: dict, blobs: list[bytes] = (), *, lock=None) -> None:
-    """Serialize one frame; ``lock`` serializes concurrent senders."""
+def pack_frame(header: dict, blobs: list[bytes] = ()) -> bytes:
+    """One frame as bytes: the socket protocol's unit and the gateway's
+    binary ``/predict`` body."""
     hb = json.dumps(header, separators=(",", ":")).encode("utf-8")
     blobs_len = sum(len(b) for b in blobs)
-    data = b"".join([struct.pack("!II", len(hb), blobs_len), hb, *blobs])
+    return b"".join([struct.pack("!II", len(hb), blobs_len), hb, *blobs])
+
+
+def unpack_frame(data: bytes) -> tuple[dict, memoryview]:
+    """Inverse of :func:`pack_frame` → (header, blob bytes); raises
+    ``ValueError`` unless ``data`` is exactly one well-formed frame."""
+    if len(data) < 8:
+        raise ValueError(f"frame of {len(data)} bytes is shorter than its 8-byte prefix")
+    hlen, blen = struct.unpack_from("!II", data)
+    if 8 + hlen + blen != len(data):
+        raise ValueError(
+            f"frame prefix declares {8 + hlen + blen} bytes, body has {len(data)}"
+        )
+    header = json.loads(data[8 : 8 + hlen].decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError("frame header must be a JSON object")
+    return header, memoryview(data)[8 + hlen :]
+
+
+def send_frame(sock: socket.socket, header: dict, blobs: list[bytes] = (), *, lock=None) -> None:
+    """Serialize one frame; ``lock`` serializes concurrent senders."""
+    data = pack_frame(header, blobs)
     if lock is not None:
         with lock:
             sock.sendall(data)
@@ -151,6 +176,8 @@ def decode_payload(desc: dict, blob: bytes, offset: int = 0):
     for d in desc["arrays"]:
         dtype = np.dtype(d["dtype"])
         shape = tuple(d["shape"])
+        if any(n < 0 for n in shape):
+            raise ValueError(f"negative dimension in array shape {shape}")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         arr = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
         arrays.append(arr.reshape(shape).copy())  # owned + writable

@@ -22,14 +22,17 @@ from repro.serve import (
     GatewayOverloaded,
     RetryPolicy,
 )
+from repro.serve.worker import FRAME_CONTENT_TYPE, decode_payload, unpack_frame
 
 
 class ScriptedGateway:
-    """Answers each POST with the next status in the script (200 after)."""
+    """Answers each POST with the next status in the script (200 after),
+    always in JSON; ``requests`` records each POST's headers and body."""
 
     def __init__(self, script):
         self.script = list(script)
         self.calls = 0
+        self.requests = []
         self._lock = threading.Lock()
         outer = self
 
@@ -41,9 +44,10 @@ class ScriptedGateway:
 
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
-                self.rfile.read(length)
+                body = self.rfile.read(length)
                 with outer._lock:
                     outer.calls += 1
+                    outer.requests.append((dict(self.headers), body))
                     status = outer.script.pop(0) if outer.script else 200
                 body = (
                     b'{"model": "m", "version": "v", "outputs": [1.0], "cached": false}'
@@ -306,20 +310,33 @@ class TestDeadlines:
 
 
 class TestWireFormat:
-    def test_predict_sends_inputs_json(self, scripted):
-        """The resilient path must not change the wire format."""
+    def test_retried_predict_sends_the_plain_body(self, scripted):
+        """The resilient path must not change the wire format: every
+        attempt of a retried predict sends the bytes a plain one sends."""
+        x = np.asarray([1.0, 2.0], dtype=np.float32)
+        plain = scripted([200])
+        out = GatewayClient(plain.url).predict("m", x)
+        np.testing.assert_array_equal(out, [1.0])  # a JSON reply decodes too
+        server = scripted([503, 200])
+        client = GatewayClient(server.url, retry=RetryPolicy(max_attempts=2, **FAST_RETRY))
+        client.predict("m", x)
+        assert server.calls == 2
+        (want_headers, want_body), = plain.requests
+        for headers, body in server.requests:
+            assert body == want_body
+            assert headers["Content-Type"] == want_headers["Content-Type"]
+        # ... and those bytes are one frame holding the inputs bitwise
+        assert want_headers["Content-Type"] == FRAME_CONTENT_TYPE
+        assert want_headers["Accept"] == FRAME_CONTENT_TYPE
+        header, blob = unpack_frame(want_body)
+        inputs, end = decode_payload(header["inputs"], blob)
+        assert end == len(blob) and inputs.dtype == np.float32
+        np.testing.assert_array_equal(inputs, x)
+
+    def test_list_inputs_send_json(self, scripted):
         server = scripted([200])
-        seen = {}
-        original = GatewayClient._request
-
-        def spy(self, method, path, body=None, timeout_s=None):
-            seen.update(method=method, path=path, body=body)
-            return original(self, method, path, body, timeout_s)
-
-        client = GatewayClient(server.url, retry=RetryPolicy(max_attempts=2))
-        client._request = spy.__get__(client)
-        client.predict("m", np.asarray([1.0, 2.0], dtype=np.float32))
-        assert seen["method"] == "POST"
-        assert seen["path"] == "/v1/models/m/predict"
-        assert json.dumps(seen["body"])  # JSON-able
-        assert seen["body"] == {"inputs": [1.0, 2.0]}
+        GatewayClient(server.url).predict("m", [1.0, 2.0])
+        (headers, body), = server.requests
+        assert headers["Content-Type"] == "application/json"
+        assert "Accept" not in headers
+        assert json.loads(body) == {"inputs": [1.0, 2.0]}

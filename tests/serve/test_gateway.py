@@ -244,13 +244,22 @@ def tiny_artifact(rng, tmp_path):
 
 class TestGatewayHTTP:
     def test_idle_stop_returns_promptly(self):
-        """Stopping must not wait out a half-second poll of the HTTP loop."""
+        """Stopping must not wait out a half-second poll of the HTTP loop,
+        nor leave a handler thread blocked on an idle keep-alive connection."""
         elapsed = []
         for _ in range(3):  # best of three: one scheduler stall is not a regression
+            before = set(threading.enumerate())
             gw = Gateway(ModelRegistry()).start()
+            client = GatewayClient(gw.url, timeout_s=5.0)
+            assert client.healthz()["status"] == "ok"  # its connection stays open
             t0 = time.perf_counter()
             gw.stop()
             elapsed.append(time.perf_counter() - t0)
+            leaked = [t.name for t in threading.enumerate() if t not in before]
+            assert not leaked, leaked
+            with pytest.raises(OSError):  # closed for good: the redial is refused
+                client.healthz()
+            client.close()
         assert min(elapsed) < 0.1, elapsed
 
     def test_healthz_models_and_model_detail(self, client):
@@ -273,7 +282,8 @@ class TestGatewayHTTP:
         first = client.predict("double", x, raw=True)
         second = client.predict("double", x, raw=True)
         assert first["cached"] is False and second["cached"] is True
-        assert first["outputs"] == second["outputs"]
+        # array inputs get binary replies: outputs are arrays
+        np.testing.assert_array_equal(first["outputs"], second["outputs"])
         # textual variants of the same tensor share the cache entry
         third = client.predict("double", [0, 1.0, 2, 3.0], raw=True)
         assert third["cached"] is True
