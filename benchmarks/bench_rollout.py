@@ -20,8 +20,10 @@ contract being measured:
 **Autoscale** — the same model behind a 1-replica pool with a
 queue-depth autoscaler (min 1, max 4, aggressive watermarks). A load
 step (burst of concurrent closed-loop clients) must ramp the pool to
->= 2 replicas; after the load stops and the cooldown passes, the pool
-must return to the floor. Scale events come from ``/stats``.
+>= 2 replicas (a latency fault on the first replica holds each of its
+batches for several autoscaler ticks, so a tick always sees the load);
+after the load stops and the cooldown passes, the pool must return to
+the floor. Scale events come from ``/stats``.
 
 A third scenario, **chaos** (``--chaos-smoke``), is the PR 6 resilience
 contract: the same closed-loop HTTP load while a seeded
@@ -66,6 +68,11 @@ CLIENTS, REQUESTS_PER_CLIENT = 8, 24
 SMOKE_CLIENTS, SMOKE_REQUESTS = 4, 8
 
 AUTOSCALE_MAX = 4
+#: Every batch on the autoscale run's first replica sleeps this long (a
+#: latency fault, as bench_replay pads service time), so the load step
+#: spans at least HOLD_MS / interval_s autoscaler ticks per batch there
+#: instead of however few a 32-request burst happens to last.
+AUTOSCALE_HOLD_MS = 30.0
 
 
 def _build_model(smoke: bool):
@@ -155,6 +162,9 @@ def _run_autoscale(artifact: str, clients: int, per_client: int) -> dict:
     gateway = serve_gateway(
         {"model": artifact}, replicas=1, autoscale=policy,
         max_batch_size=4, max_wait_ms=2.0, max_queue=max(16, clients * 4),
+        fault_plan=FaultPlan([FaultSpec(
+            kind="latency", replica=0, latency_ms=AUTOSCALE_HOLD_MS, count=None
+        )]),
     )
     with gateway:
         entry = gateway.registry.get("model")

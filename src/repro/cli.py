@@ -323,7 +323,8 @@ def _print_backend_report() -> None:
             detail = "available"
             if probe.get("compiler"):
                 detail += (f" (compiler {probe['compiler']}: {probe.get('version', '?')}; "
-                           f"kernel cache {probe.get('cache_dir', '?')})")
+                           f"kernel cache {probe.get('cache_dir', '?')}; "
+                           f"gelu {probe.get('gelu', '-')})")
         else:
             detail = f"UNAVAILABLE: {probe.get('error', 'unknown reason')}"
         print(f"  {name}: {detail}")

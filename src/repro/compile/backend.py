@@ -38,7 +38,10 @@ the kernels fold the per-vector scales the rounding knob perturbs.
 The engine gives a ``compiled`` model's attention operands a
 :class:`CompiledQuantizer` (:func:`operand_quantizer`): the numpy
 :class:`~repro.quant.quantizer.Quantizer` with its fake-quant replaced
-by the rendered ``repro_quantize`` kernel, bitwise equal as well.
+by the rendered ``repro_quantize`` kernel, bitwise equal as well. A
+``compiled`` float32 engine gives each GELU a :class:`CompiledGELU`,
+which runs ``repro_gelu`` (:func:`~repro.compile.renderer.render_gelu`),
+bitwise equal to numpy's float32 GELU.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import nn
 from repro.quant.backends import (
     IntegerBackend,
     QuantBackendError,
@@ -56,23 +60,28 @@ from repro.quant.backends import (
 )
 from repro.quant.granularity import Granularity
 from repro.quant.quantizer import Quantizer, QuantSpec, ScaleKind
-from repro.tensor.tensor import Tensor, as_tensor
+from repro.tensor import ops
+from repro.tensor.tensor import Tensor, as_tensor, is_grad_enabled
 from repro.utils.dtypes import resolve_dtype
-from repro.utils.parallel import split_samples
+from repro.utils.parallel import map_samples, split_samples
 
 from .renderer import (
     CONV_KB,
+    GELU_VARIANTS,
     ConvSpec,
     KernelSpec,
     QuantizeSpec,
     render,
     render_conv,
+    render_gelu,
     render_quantize,
 )
 from .runtime import (
     CONV_ENTRY,
+    GELU_ENTRY,
     KERNEL_ENTRY,
     QUANTIZE_ENTRY,
+    CompileError,
     compiler_available,
     compiler_probe,
     kernel_cache,
@@ -121,7 +130,13 @@ class CompiledBackend(IntegerBackend):
         return compiler_available()
 
     def probe(self) -> dict:
-        return compiler_probe()
+        probe = compiler_probe()
+        if probe["available"]:
+            try:
+                probe["gelu"] = gelu_kernel().variant
+            except CompileError as exc:
+                probe["gelu"] = f"numpy ({str(exc).splitlines()[0]})"
+        return probe
 
     # -- prepare ---------------------------------------------------------
     def prepare(self, layer) -> None:
@@ -505,3 +520,69 @@ def operand_quantizer(spec: QuantSpec) -> Quantizer:
     if kernel_models(spec) and compiler_available():
         return CompiledQuantizer(spec)
     return Quantizer(spec)
+
+
+# ----------------------------------------------------------------------
+# GELU
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class GeluKernel:
+    """A loaded :func:`~repro.compile.renderer.render_gelu` kernel."""
+
+    fn: object
+    width: int
+
+    @property
+    def variant(self) -> str:
+        return f"{self.width}-wide libmvec {GELU_VARIANTS[self.width]['erf']}"
+
+
+def gelu_kernel(width: int | None = None) -> GeluKernel:
+    """The float32 GELU kernel of ``width`` (``None``: the widest the
+    toolchain's target admits), linked against libmvec.
+
+    Raises :class:`CompileError` when there is no working compiler or the
+    kernel fails to compile or link (a target without AVX2, a C library
+    without libmvec). The kernel cache memoizes both outcomes, so this
+    costs one compile per toolchain, and one failed attempt per process.
+    """
+    source = render_gelu(width)
+    fn = kernel_cache().get(source, entry=GELU_ENTRY, libs=("mvec",))
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong]
+    built = kernel_cache().get(source, entry=GELU_ENTRY + "_width", libs=("mvec",))
+    return GeluKernel(fn, built())
+
+
+class CompiledGELU(nn.GELU):
+    """:class:`~repro.nn.GELU` whose float32 inference runs the GELU kernel
+    (:func:`gelu_kernel`) over the batch split across CPUs, bitwise equal
+    to :func:`repro.tensor.ops.gelu`.
+
+    Everything else runs ``ops.gelu``: other dtypes (float64 stays
+    numpy), non-contiguous inputs, grad mode, and a kernel that did not
+    build (:attr:`kernel` is ``None``).
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        try:
+            self.kernel: GeluKernel | None = gelu_kernel()
+        except CompileError:
+            self.kernel = None
+
+    def _gelu(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty_like(x)
+        self.kernel.fn(x.ctypes.data, out.ctypes.data, x.size)
+        return out
+
+    def forward(self, x: Tensor) -> Tensor:
+        data = as_tensor(x).data
+        if (
+            self.kernel is None
+            or data.dtype != np.float32
+            or not data.flags.c_contiguous
+            or is_grad_enabled()
+        ):
+            return ops.gelu(x)
+        return Tensor(map_samples(self._gelu, data))

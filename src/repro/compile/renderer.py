@@ -4,6 +4,7 @@ Three kernels share one per-vector quantize prologue (:class:`Prologue`,
 the dynamic half of Eq. 7): :func:`render` lowers a linear layer,
 :func:`render_conv` a conv layer, and :func:`render_quantize` a
 standalone fake-quantizer for any activation (the attention operands).
+:func:`render_gelu` is the float32 GELU on libmvec's vector erf.
 
 Every layer the compiled backend lowers runs the same fixed pipeline::
 
@@ -47,6 +48,7 @@ output pass (:func:`_output_pass`) multiplies in a pass of its own too.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 _CTYPES = {"float", "double"}
@@ -761,6 +763,90 @@ int repro_quantize(const void *x_, void *out_,
 {branch(flat.codes(dst, fakequant), pro.codes(dst, fakequant))}
 
     free(sv); free(gamma); free(qv);
+    return 0;
+}}
+"""
+
+
+#: The vector GELU kernels, by width: the ISA macro that admits each, its
+#: float and double vector types, intrinsic prefixes, and libmvec's
+#: double-precision erf of that width (vector-function ABI names).
+GELU_VARIANTS = {
+    8: dict(isa="__AVX512F__", vf="__m256", vd="__m512d", ps="_mm256", pd="_mm512",
+            erf="_ZGVeN8v_erf"),
+    4: dict(isa="__AVX2__", vf="__m128", vd="__m256d", ps="_mm", pd="_mm256",
+            erf="_ZGVdN4v_erf"),
+}
+
+
+def _gelu_variant(width: int) -> str:
+    v = GELU_VARIANTS[width]
+    vf, ps = v["vf"], v["ps"]
+    return f"""\
+#define W {width}
+{v["vd"]} {v["erf"]}({v["vd"]});
+
+static inline void gelu(const float *src, float *dst)
+{{
+    const {vf} x = {ps}_loadu_ps(src);
+    const {vf} t = {ps}_div_ps(x, {ps}_set1_ps(SQRT2));
+    const {vf} e = {v["pd"]}_cvtpd_ps({v["erf"]}({v["pd"]}_cvtps_pd(t)));
+    const {vf} c = {ps}_mul_ps({ps}_set1_ps(0.5f), {ps}_add_ps({ps}_set1_ps(1.0f), e));
+    {ps}_storeu_ps(dst, {ps}_mul_ps(x, c));
+}}"""
+
+
+def render_gelu(width: int | None = None) -> str:
+    """The float32 GELU kernel, a C translation unit exporting::
+
+        int repro_gelu(const void *x, void *out, long long n);
+        int repro_gelu_width(void);
+
+    ``repro_gelu`` writes ``x * (0.5 * (1 + erf(x / sqrt2)))`` of ``n``
+    floats to ``out`` and returns 0; ``repro_gelu_width`` returns the
+    vector width that was built. Each step rounds to float32 in numpy's
+    order (``ops._gelu`` on a float32 array), and erf is libmvec's double
+    erf of the float32 quotient, rounded to float32: the value scipy's
+    float32 ``erf`` loop computes. The steps are separate intrinsics, so
+    there is no multiply-add for the compiler to contract. Link with
+    ``-lmvec``.
+
+    ``width`` 8 (AVX-512) or 4 (AVX2) builds that variant only; ``None``
+    builds the widest one the target admits. A target that admits none
+    fails to compile (``#error``), which sends the caller to numpy.
+    """
+    widths = sorted(GELU_VARIANTS, reverse=True) if width is None else [width]
+    branches = "".join(
+        f"#{'if' if i == 0 else 'elif'} defined({GELU_VARIANTS[w]['isa']})\n"
+        f"{_gelu_variant(w)}\n"
+        for i, w in enumerate(widths)
+    )
+    return f"""\
+/* generated by repro.compile - do not edit */
+#include <immintrin.h>
+#include <string.h>
+
+/* numpy divides a float32 array by the Python float sqrt(2) rounded to float32 */
+#define SQRT2 ((float){math.sqrt(2.0)!r})
+
+{branches}#else
+#error "no libmvec erf for this target"
+#endif
+
+int repro_gelu_width(void) {{ return W; }}
+
+int repro_gelu(const void *x_, void *out_, long long n)
+{{
+    const float *x = (const float *)x_;
+    float *out = (float *)out_;
+    long long i = 0;
+    for (; i + W <= n; i += W) gelu(x + i, out + i);
+    if (i < n) {{
+        float buf[W] = {{0}};
+        memcpy(buf, x + i, (size_t)(n - i) * sizeof(float));
+        gelu(buf, buf);
+        memcpy(out + i, buf, (size_t)(n - i) * sizeof(float));
+    }}
     return 0;
 }}
 """

@@ -57,6 +57,7 @@ _BASE_CFLAGS = ("-O3", "-shared", "-fPIC")
 KERNEL_ENTRY = "repro_kernel"
 QUANTIZE_ENTRY = "repro_quantize"
 CONV_ENTRY = "repro_conv"
+GELU_ENTRY = "repro_gelu"
 
 
 class CompileError(RuntimeError):
@@ -195,8 +196,8 @@ class KernelCache:
     def __init__(self, directory: Path | None = None) -> None:
         self._dir = directory
         self._lock = threading.Lock()
-        self._mem: dict[str, ctypes._CFuncPtr] = {}
-        self._libs: dict[str, ctypes.CDLL] = {}  # keep .so handles alive
+        self._mem: dict[str, ctypes.CDLL] = {}  # loaded objects, kept alive
+        self._failed: dict[str, str] = {}  # key -> why it did not build
         self._swept = False
         self.mem_hits = 0
         self.disk_hits = 0
@@ -240,14 +241,8 @@ class KernelCache:
         return root
 
     # -- compile + load ------------------------------------------------
-    def _load(self, so_path: Path, key: str, entry: str):
-        lib = ctypes.CDLL(str(so_path))
-        fn = getattr(lib, entry)
-        fn.restype = ctypes.c_int
-        self._libs[key] = lib
-        return fn
-
-    def _compile(self, source: str, tc: Toolchain, root: Path, key: str) -> Path:
+    def _compile(self, source: str, tc: Toolchain, root: Path, key: str,
+                 libs: tuple[str, ...]) -> Path:
         c_path = root / f"{key}.c"
         so_path = root / f"{key}.so"
         start = time.perf_counter()
@@ -256,7 +251,8 @@ class KernelCache:
             tmp_so = Path(tmp) / "kernel.so"
             tmp_c.write_text(source)
             proc = subprocess.run(
-                [tc.path, *tc.cflags, "-o", str(tmp_so), str(tmp_c), "-lm"],
+                [tc.path, *tc.cflags, "-o", str(tmp_so), str(tmp_c), "-lm",
+                 *(f"-l{lib}" for lib in libs)],
                 capture_output=True, text=True, timeout=120,
             )
             if proc.returncode != 0 or not tmp_so.exists():
@@ -273,31 +269,50 @@ class KernelCache:
         logger.debug("compiled kernel %s in %.1f ms", key, elapsed * 1e3)
         return so_path
 
-    def get(self, source: str, entry: str = KERNEL_ENTRY):
-        """The compiled ``entry`` symbol of ``source`` (memoized)."""
+    def _build(self, source: str, tc: Toolchain, key: str,
+               libs: tuple[str, ...]) -> ctypes.CDLL:
+        root = self._ensure_dir()
+        so_path = root / f"{key}.so"
+        if so_path.exists():
+            try:
+                lib = ctypes.CDLL(str(so_path))
+                self.disk_hits += 1
+                return lib
+            except OSError:
+                pass  # torn/foreign object: recompile over it
+        so_path = self._compile(source, tc, root, key, libs)
+        try:
+            return ctypes.CDLL(str(so_path))
+        except OSError as exc:
+            raise CompileError(f"cannot load rendered kernel {key}: {exc}") from exc
+
+    def get(self, source: str, entry: str = KERNEL_ENTRY, libs: tuple[str, ...] = ()):
+        """The compiled ``entry`` symbol of ``source`` (memoized).
+
+        ``libs`` are extra libraries to link (``-l<name>``); they are
+        part of the cache key. A source that fails to compile or load
+        raises :class:`CompileError`, and so does every later ``get`` of
+        it in this process, without a second attempt.
+        """
         tc = find_toolchain()
         if tc is None:
             raise CompileError("no working C compiler available")
-        key = source_fingerprint(source, tc.ident)
+        key = source_fingerprint(source, " ".join((tc.ident, *(f"-l{lib}" for lib in libs))))
         with self._lock:
-            fn = self._mem.get(key)
-            if fn is not None:
+            lib = self._mem.get(key)
+            if lib is not None:
                 self.mem_hits += 1
-                return fn
-            root = self._ensure_dir()
-            so_path = root / f"{key}.so"
-            if so_path.exists():
+            elif key in self._failed:
+                raise CompileError(self._failed[key])
+            else:
                 try:
-                    fn = self._load(so_path, key, entry)
-                    self.disk_hits += 1
-                    self._mem[key] = fn
-                    return fn
-                except OSError:
-                    # torn/foreign object: recompile over it
-                    pass
-            so_path = self._compile(source, tc, root, key)
-            fn = self._load(so_path, key, entry)
-            self._mem[key] = fn
+                    lib = self._build(source, tc, key, libs)
+                except CompileError as exc:
+                    self._failed[key] = str(exc)
+                    raise
+                self._mem[key] = lib
+            fn = getattr(lib, entry)
+            fn.restype = ctypes.c_int
             return fn
 
     def stats(self) -> dict:

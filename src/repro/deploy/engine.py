@@ -28,7 +28,9 @@ adds, pooling — runs in floating point, exactly as the paper's
 accelerator leaves non-MAC work to higher precision. Under ``compiled``
 a conv's BatchNorm, residual add and ReLU (:func:`repro.nn.conv_bn`)
 run in that floating point too, inside the conv kernel's output pass,
-rounded step by step as numpy rounds them.
+rounded step by step as numpy rounds them, and a float32 engine's GELU
+runs a C kernel on libmvec's vector erf
+(:class:`~repro.compile.backend.CompiledGELU`), bitwise equal to numpy's.
 
 Two serving-relevant knobs:
 
@@ -52,7 +54,12 @@ from pathlib import Path
 import numpy as np
 
 from repro import nn
-from repro.compile.backend import CompiledBackend, CompiledQuantizer, operand_quantizer
+from repro.compile.backend import (
+    CompiledBackend,
+    CompiledGELU,
+    CompiledQuantizer,
+    operand_quantizer,
+)
 from repro.deploy.artifact import Artifact, ArtifactError, ArtifactLayer, load_artifact
 from repro.deploy.structure import StructureError, build_from_structure
 from repro.quant.backends import backend_available, resolve_backend
@@ -153,7 +160,8 @@ def build_integer_model(
     ``backend`` selects the execution backend for every quantized layer:
     ``"auto"`` (``"compiled"`` when a C toolchain works, else
     ``"integer"``), ``"integer"``, or ``"compiled"`` (fused C linear and
-    conv kernels plus the C attention-operand quantizer). Explicitly
+    conv kernels plus the C attention-operand quantizer, and at float32
+    the C GELU). Explicitly
     requesting an unavailable backend degrades to ``integer`` with one
     process-wide warning
     (:func:`repro.quant.backends.resolve_backend`); ``"auto"`` degrades
@@ -214,6 +222,10 @@ def build_integer_model(
         raise ArtifactError(
             f"manifest layer {missing[0]!r} not found in rebuilt topology"
         )
+    if backend == "compiled" and out_dtype is np.float32:
+        nn.swap_modules(
+            model, lambda _, m: type(m) is nn.GELU, lambda _, m: CompiledGELU()
+        )
     model.eval()
     return model
 
@@ -222,6 +234,10 @@ def _executed_backend(layer: QuantizedLayer) -> str:
     if layer.backend == "compiled" and not CompiledBackend.compiles(layer):
         return "integer"
     return layer.backend
+
+
+def _one_path(paths: set[str]) -> str:
+    return paths.pop() if len(paths) == 1 else "mixed"
 
 
 class IntegerEngine:
@@ -269,7 +285,8 @@ class IntegerEngine:
         kernel plan, and as ``integer`` (the numpy path it then
         runs) otherwise. ``attention_operands`` (present when the model
         has quantized attention) is ``"compiled"``, ``"numpy"``, or
-        ``"mixed"``.
+        ``"mixed"``, and so is ``gelu`` (present when the model has GELU;
+        ``compiled`` only at float32 with a kernel that built).
         """
         summary: dict = dict(sorted(Counter(
             _executed_backend(layer) for _, layer in quant_layers(self.model)
@@ -280,7 +297,14 @@ class IntegerEngine:
             for q in attn.operand_quantizers.values()
         }
         if paths:
-            summary["attention_operands"] = paths.pop() if len(paths) == 1 else "mixed"
+            summary["attention_operands"] = _one_path(paths)
+        paths = {
+            "compiled" if getattr(m, "kernel", None) is not None else "numpy"
+            for _, m in self.model.named_modules()
+            if isinstance(m, nn.GELU)
+        }
+        if paths:
+            summary["gelu"] = _one_path(paths)
         return summary
 
     @property
